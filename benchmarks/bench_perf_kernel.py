@@ -12,14 +12,23 @@ Times the pieces of the performance layer on a fixed workload:
    the number of distinct sets touched, so it pays off on wide caches
    and loses to the scalar kernel on narrow ones.  Counters are gated,
    speed is reported honestly but not gated.
-3. **Parallel executor** — a multi-benchmark profiling sweep run
-   through the persistent worker pool at jobs ∈ {1, 2, 4, 8} (clamped
-   to the affinity-visible CPU count), with per-jobs speedup and
-   efficiency.  Scaling floors only apply when the runner actually has
-   more than one visible CPU; on a cpuset-limited single-CPU container
-   only the serial/parallel identity check is meaningful.
+3. **Parallel executor** — a multi-benchmark sweep of per-way
+   cache-simulation profiles (the oracle of
+   :mod:`repro.verify.oracle`, on the reference kernel) run through the
+   persistent worker pool at jobs ∈ {1, 2, 4, 8} (clamped to the
+   affinity-visible CPU count), with per-jobs speedup and efficiency.
+   Scaling floors only apply when the runner actually has more than
+   one visible CPU; on a cpuset-limited single-CPU container only the
+   serial/parallel identity check is meaningful.
 4. **Miss-curve cache** — a cold profiling pass vs a warm re-run
    served from the on-disk store.
+5. **Profiling** — the one-pass stack-distance profiler against the
+   per-way cache oracle (reference and fast kernels) on mcf, gcc and
+   libquantum, with an exact-equality gate; the same sweep as (3)
+   through the one-pass profiler at jobs=2; and the wall time of a
+   cold ``repro fig7 Mix-1`` in a fresh interpreter on empty stores
+   (and, with ``--baseline-src``, of the same command on another
+   checkout's ``src/`` for a before/after pair), with the host.
 
 Writes ``BENCH_perf.json`` so successive commits leave a perf
 trajectory, and exits non-zero when a gated number regresses — CI runs
@@ -32,6 +41,7 @@ passed in rather than read in-process, keeping the bench clock-free.
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_perf_kernel.py [--smoke] \\
+        [--baseline-src OTHER_CHECKOUT/src] \\
         [--stamp "$(date +%s)" --git-rev "$(git rev-parse HEAD)"]
 """
 
@@ -40,6 +50,9 @@ import gc
 import json
 import math
 import os
+import platform
+import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -53,11 +66,12 @@ from repro.cache.fastsim_vec import HAS_NUMPY
 from repro.cache.geometry import CacheGeometry
 from repro.cache.partitioned import PartitionClass
 from repro.util.rng import DeterministicRng
+from repro.verify.oracle import simulated_miss_rates
 from repro.workloads.benchmarks import get_benchmark
 from repro.workloads.profiler import (
     clear_curve_cache,
     get_curve,
-    profile_benchmark,
+    measure_miss_rates,
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -67,6 +81,10 @@ SWEEP_BENCHMARKS = ("bzip2", "hmmer", "gobmk", "sjeng")
 
 #: Candidate worker counts for the jobs sweep, clamped to visible CPUs.
 JOBS_CANDIDATES = (1, 2, 4, 8)
+
+#: Profiles the profiling section times: the slowest curves to build
+#: (large Zipf pools, many components) and a streaming-heavy one.
+PROFILING_BENCHMARKS = ("mcf", "gcc", "libquantum")
 
 
 def generate_trace(accesses, num_sets, block_bytes, num_cores, seed=2024):
@@ -219,25 +237,45 @@ def bench_vec_kernel(accesses, cases, block_bytes=64, num_cores=4):
     return results
 
 
-def _profile_point(payload):
+def _oracle_point(payload):
     name, num_sets, accesses = payload
-    curve = profile_benchmark(
+    return name, simulated_miss_rates(
+        get_benchmark(name),
+        backend="reference",
+        num_sets=num_sets,
+        accesses=accesses,
+    )
+
+
+def _one_pass_point(payload):
+    name, num_sets, accesses = payload
+    return name, measure_miss_rates(
         get_benchmark(name), num_sets=num_sets, accesses=accesses
     )
-    return name, curve.points
+
+
+def _timed_map(point, payloads, jobs):
+    start = time.perf_counter()
+    output = parallel_map(point, payloads, jobs=jobs)
+    return output, time.perf_counter() - start
 
 
 def bench_parallel(num_sets, accesses, jobs_values):
-    """Jobs sweep over SWEEP_BENCHMARKS; every level must match serial."""
+    """Jobs sweep over SWEEP_BENCHMARKS; every level must match serial.
+
+    Each point is a per-way cache-simulation profile: 16 way counts
+    times the whole trace, the same number of simulated accesses per
+    point as the profiler this sweep timed before profiling became one
+    stack-distance pass.  That keeps the pool's scaling measured on
+    CPU-bound points of the old size.  One-pass points are now too
+    cheap for a pool to pay at these sizes; their jobs=2 number is
+    reported, ungated, in the profiling section.
+    """
     payloads = [(name, num_sets, accesses) for name in SWEEP_BENCHMARKS]
-    start = time.perf_counter()
-    expected = parallel_map(_profile_point, payloads, jobs=1)
-    serial_seconds = time.perf_counter() - start
+    expected, serial_seconds = _timed_map(_oracle_point, payloads, 1)
     sweep = []
     for jobs in jobs_values:
-        start = time.perf_counter()
-        output = parallel_map(_profile_point, payloads, jobs=jobs)
-        elapsed = time.perf_counter() - start
+        output, elapsed = _timed_map(_oracle_point, payloads, jobs)
         if output != expected:
             raise SystemExit(
                 f"FAIL: jobs={jobs} sweep output differs from serial"
@@ -298,6 +336,125 @@ def bench_misscache(num_sets, accesses):
     return results
 
 
+def _timed(func, *args, **kwargs):
+    start = time.perf_counter()
+    result = func(*args, **kwargs)
+    return result, round(time.perf_counter() - start, 4)
+
+
+def bench_curves(sizing):
+    """One-pass profiling vs the per-way cache oracle, per benchmark.
+
+    Exits non-zero unless the one-pass points equal the oracle's on
+    both kernels, point for point.  The oracle generates its trace
+    once and simulates it per way count; the profiler that preceded
+    the one-pass pass also regenerated the trace per way count, so
+    ``speedup_vs_fast_oracle`` understates the gain over it.
+    """
+    results = {}
+    for name in PROFILING_BENCHMARKS:
+        profile = get_benchmark(name)
+        points, one_pass_seconds = _timed(measure_miss_rates, profile, **sizing)
+        row = {"one_pass_seconds": one_pass_seconds}
+        for backend in ("fast", "reference"):
+            oracle, row[f"oracle_{backend}_seconds"] = _timed(
+                simulated_miss_rates, profile, backend=backend, **sizing
+            )
+            if oracle != points:
+                raise SystemExit(
+                    f"FAIL: one-pass {name} curve diverges from the "
+                    f"{backend}-kernel oracle:\n"
+                    f"  oracle:   {oracle}\n"
+                    f"  one-pass: {points}"
+                )
+        row["speedup_vs_fast_oracle"] = round(
+            row["oracle_fast_seconds"] / max(one_pass_seconds, 1e-9), 1
+        )
+        results[name] = row
+    return results
+
+
+def _cold_fig7_once(src):
+    with tempfile.TemporaryDirectory() as tmp:
+        env = dict(
+            os.environ,
+            PYTHONPATH=str(src),
+            REPRO_MISS_CACHE_DIR=os.path.join(tmp, "curves"),
+            REPRO_RESULT_STORE_DIR=os.path.join(tmp, "results"),
+        )
+        env.pop("REPRO_MISS_CACHE", None)
+        start = time.perf_counter()
+        subprocess.run(
+            [sys.executable, "-m", "repro", "fig7", "Mix-1", "--jobs", "1"],
+            env=env,
+            check=True,
+            stdout=subprocess.DEVNULL,
+        )
+        return time.perf_counter() - start
+
+
+def cold_fig7_seconds(sources, repeats):
+    """Median wall time of a cold ``repro fig7 Mix-1`` per source tree.
+
+    ``sources`` maps a label to a ``src/`` directory.  Each run is a
+    fresh interpreter with the miss-curve store and the results store
+    pointed at empty directories, so it profiles every curve it needs,
+    as a first run on a new machine does.  Runs alternate between the
+    sources, and which one goes first flips every repeat, so host drift
+    hits both sides alike.
+    """
+    samples = {label: [] for label in sources}
+    order = list(sources)
+    for _ in range(repeats):
+        for label in order:
+            samples[label].append(_cold_fig7_once(sources[label]))
+        order.reverse()
+    return {
+        label: round(statistics.median(runs), 3)
+        for label, runs in samples.items()
+    }
+
+
+def bench_profiling(sizing, sweep, cache, *, repeats, baseline_src):
+    """The profiling section: curves, one-pass sweep, cold fig7, store."""
+    payloads = [
+        (name, sweep["num_sets"], sweep["accesses"])
+        for name in SWEEP_BENCHMARKS
+    ]
+    expected, serial = _timed_map(_one_pass_point, payloads, 1)
+    output, parallel = _timed_map(_one_pass_point, payloads, 2)
+    if output != expected:
+        raise SystemExit("FAIL: jobs=2 one-pass sweep differs from serial")
+    sources = {"after_seconds": REPO_ROOT / "src"}
+    if baseline_src is not None:
+        sources["before_seconds"] = baseline_src
+    fig7 = {
+        "command": "repro fig7 Mix-1 --jobs 1, empty stores",
+        "repeats": repeats,
+        **cold_fig7_seconds(sources, repeats),
+    }
+    if baseline_src is not None:
+        fig7["speedup"] = round(
+            fig7["before_seconds"] / max(fig7["after_seconds"], 1e-9), 2
+        )
+    return {
+        "sizing": dict(sizing, ways=16),
+        "curves": bench_curves(sizing),
+        "one_pass_sweep": {
+            "points": len(payloads),
+            "serial_seconds": round(serial, 4),
+            "jobs2_seconds": round(parallel, 4),
+            "jobs2_speedup": round(serial / max(parallel, 1e-9), 2),
+        },
+        "cold_fig7": fig7,
+        # The curve store's cold and warm passes from the miss_cache
+        # section, beside the one-pass cost they save.
+        "miss_cache_cold_seconds": cache["cold_seconds"],
+        "miss_cache_warm_seconds": cache["warm_seconds"],
+        "miss_cache_curves": len(SWEEP_BENCHMARKS),
+    }
+
+
 def flatten_series(payload, prefix=""):
     """Flatten the nested results dict into dotted finite-number series.
 
@@ -329,7 +486,9 @@ def append_history(path, payload, *, stamp, git_rev):
     series = flatten_series(
         {
             key: payload[key]
-            for key in ("kernel", "kernel_vec", "parallel", "miss_cache")
+            for key in (
+                "kernel", "kernel_vec", "parallel", "miss_cache", "profiling"
+            )
         }
     )
     point = history_point(
@@ -365,6 +524,15 @@ def main(argv=None):
         help="where to write the results JSON",
     )
     parser.add_argument(
+        "--baseline-src",
+        type=Path,
+        default=None,
+        help=(
+            "another checkout's src/ (e.g. the parent commit's) to time "
+            "the same cold fig7 against, for a before/after pair"
+        ),
+    )
+    parser.add_argument(
         "--history",
         type=Path,
         default=REPO_ROOT / "BENCH_history.jsonl",
@@ -388,6 +556,8 @@ def main(argv=None):
 
     if args.smoke:
         kernel_accesses, sweep_sets, sweep_accesses = 40_000, 16, 4_000
+        profiling_sizing = dict(num_sets=16, accesses=4_000, warmup=1_500)
+        fig7_repeats = 1
         vec_cases = [
             ("narrow-skewed", 64, "mixture"),
             ("wide-uniform", 512, "uniform"),
@@ -395,6 +565,8 @@ def main(argv=None):
         min_kernel_speedup, min_jobs_speedup = 2.0, 1.2
     else:
         kernel_accesses, sweep_sets, sweep_accesses = 400_000, 64, 40_000
+        profiling_sizing = dict(num_sets=64, accesses=40_000, warmup=15_000)
+        fig7_repeats = 3
         vec_cases = [
             ("narrow-skewed", 64, "mixture"),
             ("wide-skewed", 2048, "mixture"),
@@ -457,15 +629,54 @@ def main(argv=None):
         f"{cache['warm_hit_rate']:.0%})"
     )
 
+    print(
+        "profiling: one pass vs per-way oracle on "
+        f"{', '.join(PROFILING_BENCHMARKS)} ..."
+    )
+    profiling = bench_profiling(
+        profiling_sizing,
+        {"num_sets": sweep_sets, "accesses": sweep_accesses},
+        cache,
+        repeats=fig7_repeats,
+        baseline_src=args.baseline_src,
+    )
+    for name, row in profiling["curves"].items():
+        print(
+            f"  {name}: one pass {row['one_pass_seconds']}s, oracle "
+            f"{row['oracle_fast_seconds']}s fast / "
+            f"{row['oracle_reference_seconds']}s reference "
+            f"({row['speedup_vs_fast_oracle']}x vs fast, points identical)"
+        )
+    sweep = profiling["one_pass_sweep"]
+    print(
+        f"  one-pass sweep: serial {sweep['serial_seconds']}s, jobs=2 "
+        f"{sweep['jobs2_seconds']}s ({sweep['jobs2_speedup']}x)"
+    )
+    fig7 = profiling["cold_fig7"]
+    print(
+        f"  cold fig7 Mix-1: {fig7['after_seconds']}s"
+        + (
+            f" (baseline {fig7['before_seconds']}s, {fig7['speedup']}x)"
+            if "before_seconds" in fig7
+            else ""
+        )
+    )
+
     payload = {
         "bench": "perf_kernel",
         "mode": "smoke" if args.smoke else "standard",
         "cpu_count": os.cpu_count(),
         "visible_cpus": visible,
+        "host": {
+            "platform": platform.platform(),
+            "python": platform.python_version(),
+            "machine": platform.machine(),
+        },
         "kernel": kernel,
         "kernel_vec": vec,
         "parallel": parallel,
         "miss_cache": cache,
+        "profiling": profiling,
     }
     args.output.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {args.output}")

@@ -1,9 +1,9 @@
 """Content-addressed on-disk store for miss-ratio curves.
 
-Profiling one benchmark means driving ~55k synthetic accesses through a
-real cache at sixteen way counts — and Fig. 4/5/9 sweeps and the LAC
-admission search revisit the same (benchmark, geometry, seed) points
-constantly, across processes and across runs.  This module memoises the
+Profiling one benchmark means generating ~55k synthetic accesses and
+replaying them through one stack-distance pass — and Fig. 4/5/9 sweeps
+and the LAC admission search revisit the same (benchmark, geometry,
+seed) points constantly, across processes and across runs.  This module memoises the
 resulting :class:`~repro.workloads.profiler.MissRatioCurve` objects on
 disk, keyed by a SHA-256 digest of everything the curve is a pure
 function of:
@@ -16,9 +16,10 @@ function of:
   depend on, so editing the trace generators or the cache kernel
   invalidates all stored curves instead of silently serving stale ones.
 
-The key deliberately excludes the cache backend: reference and fast
-produce identical curves (pinned by the differential suite), so a curve
-profiled under either is valid for both.
+The key has no cache backend in it because profiling runs on no cache
+backend: the stack-distance pass replaces per-way cache simulation, and
+its curves equal the simulated ones on every backend (pinned by the
+differential ``backend`` pair and the profiler tests).
 
 The storage mechanics — atomic fsync'd writes, quarantine-on-corrupt
 (``<digest>.corrupt``), hit/miss/store counters — live in the shared
@@ -151,12 +152,10 @@ def reset_stats() -> None:
 #: Modules whose source determines curve values.  Editing any of them
 #: changes the fingerprint and orphans previously stored entries.
 _FINGERPRINT_MODULES = (
-    "repro.cache.basic",
-    "repro.cache.fastsim",
     "repro.cache.geometry",
-    "repro.cache.replacement",
     "repro.util.rng",
     "repro.workloads.benchmarks",
+    "repro.workloads.generator",
     "repro.workloads.patterns",
     "repro.workloads.profiler",
 )

@@ -84,7 +84,6 @@ class EqualPartSimulator:
                 get_benchmark(benchmark),
                 num_sets=self.sim_config.profile_num_sets,
                 accesses=self.sim_config.profile_accesses,
-                backend=self.machine.cache_backend,
             )
         return self._curves[benchmark]
 

@@ -513,7 +513,6 @@ class QoSSystemSimulator:
                 get_benchmark(benchmark),
                 num_sets=self.sim_config.profile_num_sets,
                 accesses=self.sim_config.profile_accesses,
-                backend=self.machine.cache_backend,
             )
         return self._curves[benchmark]
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from bisect import bisect_left
 from typing import List, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -78,16 +79,20 @@ class DeterministicRng:
         the CDF is cached per ``(n, alpha)`` pair because trace
         generators draw millions of indices from the same distribution.
         """
+        return self.zipf_indices(n, alpha, 1)[0]
+
+    def zipf_indices(self, n: int, alpha: float, k: int) -> List[int]:
+        """``k`` draws of :meth:`zipf_index`, one ``random()`` each.
+
+        A draw ``u`` maps to the first index whose CDF reaches it; the
+        search stops at ``n - 1``, so a ``u`` above ``cdf[-1]`` (which
+        floating-point summation can leave a hair below 1.0) clamps to
+        the last index.
+        """
         cdf = self._zipf_cdf(n, alpha)
-        u = self._random.random()
-        lo, hi = 0, n - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if cdf[mid] < u:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
+        draw = self._random.random
+        last = n - 1
+        return [bisect_left(cdf, draw(), 0, last) for _ in range(k)]
 
     def _zipf_cdf(self, n: int, alpha: float) -> List[float]:
         key = (n, alpha)
@@ -126,6 +131,25 @@ class DeterministicRng:
                 "have the same length"
             )
         return self._random.choices(items, weights=weights, k=1)[0]
+
+    def weighted_indices(
+        self, cum_weights: Sequence[float], k: int
+    ) -> List[int]:
+        """``k`` indices drawn by cumulative weight, one ``random()`` each.
+
+        The same draws :meth:`weighted_choice` makes with the matching
+        (non-cumulative) weights — ``random.choices`` accumulates them
+        and bisects exactly like this — minus rebuilding the cumulative
+        list on every call.
+        """
+        return self._random.choices(
+            range(len(cum_weights)), cum_weights=cum_weights, k=k
+        )
+
+    def randoms(self, k: int) -> List[float]:
+        """``k`` draws of :meth:`uniform` over ``[0, 1)``."""
+        draw = self._random.random
+        return [draw() for _ in range(k)]
 
     def sample_without_replacement(self, population: Sequence[T], k: int) -> List[T]:
         """Draw ``k`` distinct elements."""

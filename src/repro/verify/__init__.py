@@ -1,7 +1,8 @@
 """Standing verification methodology: differential, metamorphic, fuzz.
 
 The repo deliberately maintains redundant ways to compute the same
-answer — a reference and a fast cache backend, serial and ``--jobs N``
+answer — one-pass stack-distance miss curves and per-way cache
+simulation, a reference and a fast cache backend, serial and ``--jobs N``
 sweeps, an inert-when-zero fault layer.  Redundancy only buys trust
 when agreement is *checked*, continuously and mechanically (the
 argument of the simulator-validation literature in PAPERS.md).  This
@@ -18,6 +19,8 @@ package is that check, three layers deep:
   bandwidth — plus the policy conformance suite (``--policy all``):
   throughput floor, capacity conservation, actuation idempotence for
   every registered adaptive policy.
+- :mod:`repro.verify.oracle` — the per-way cache-simulation oracle the
+  profiler's one-pass stack-distance curves are checked against.
 - :mod:`repro.verify.fuzz` — a seeded scenario fuzzer composing random
   workloads and configurations, shrinking any failure to a minimal
   replayable ``verify-case.json`` (:mod:`repro.verify.cases`).
@@ -39,6 +42,7 @@ from repro.verify.laws import (
     run_laws,
     run_policy_laws,
 )
+from repro.verify.oracle import simulated_miss_rates
 from repro.verify.report import CheckResult, PairReport, VerifyReport
 
 __all__ = [
@@ -59,4 +63,5 @@ __all__ = [
     "run_pair",
     "run_policy_laws",
     "save_case",
+    "simulated_miss_rates",
 ]

@@ -5,10 +5,14 @@ and scaled-down profiling/instruction knobs — is executed twice per
 *pair*, with exactly one implementation choice flipped between the
 arms, and every observable compared:
 
-- **backend** — miss curves profiled and the sweep run under the
-  ``reference`` cache backend versus a fast kernel (``fast`` by
-  default, ``fast-vec`` via ``Scenario.fast_backend``).  Curves must
-  match point-for-point and every downstream scalar byte-for-byte.
+- **backend** — the profiler's stack-distance curves versus the
+  per-way cache-simulation oracle (:mod:`repro.verify.oracle`) on the
+  ``reference`` backend, and that oracle on a fast kernel (``fast`` by
+  default, ``fast-vec`` via ``Scenario.fast_backend``) versus the
+  reference; then the sweep run on the reference oracle's curves under
+  the reference backend versus on the profiled curves under the fast
+  kernel.  Curves must match point-for-point and every downstream
+  scalar byte-for-byte.
 - **jobs** — the same sweep with ``jobs=1`` versus ``jobs=N``
   multiprocessing.  Counter snapshots *and* the metrics/events/trace
   JSONL artifact streams must be byte-identical (the observer-merge
@@ -28,11 +32,10 @@ arms, and every observable compared:
   ``jobs=1`` and ``jobs=N`` — modulo the engine's own event-count
   bookkeeping, which legitimately counts the no-op epochs.
 
-Both arms of a pair profile their miss curves through
-:func:`~repro.workloads.profiler.profile_benchmark` directly — the
-``get_curve`` memo and the on-disk miss-curve store deliberately key
-without the backend, so going through them would compare one cached
-curve against itself.
+Pairs profile their miss curves through
+:func:`~repro.workloads.profiler.profile_benchmark` directly, never
+through the ``get_curve`` memo or the on-disk miss-curve store, so a
+pair checks the profiler under test rather than a stored curve.
 
 Numeric comparisons reuse :func:`repro.obs.diff.diff_snapshots`
 (tolerance class ``|b-a| <= max(abs_tol, rel_tol*max(|a|,|b|))``);
@@ -54,6 +57,7 @@ from repro.obs import Observer, observed
 from repro.obs.diff import diff_snapshots
 from repro.sim.config import SimulationConfig
 from repro.sim.system import SystemResult
+from repro.verify.oracle import simulated_miss_rates
 from repro.verify.report import CheckResult, PairReport, VerifyReport
 from repro.workloads.benchmarks import get_benchmark
 from repro.workloads.composer import (
@@ -208,25 +212,38 @@ class Scenario:
         return Scenario(**payload)
 
 
-def profile_scenario_curves(
-    scenario: Scenario, *, backend: Optional[str] = None
-) -> Dict[str, MissRatioCurve]:
-    """Profile the scenario's miss curves, bypassing every curve cache.
-
-    Neither the in-process ``get_curve`` memo nor the on-disk
-    miss-curve store keys on the backend, so differential arms must
-    measure directly or they would compare a cached curve to itself.
-    """
+def profile_scenario_curves(scenario: Scenario) -> Dict[str, MissRatioCurve]:
+    """Profile the scenario's miss curves, bypassing every curve cache."""
     return {
         name: profile_benchmark(
             get_benchmark(name),
             num_sets=scenario.profile_num_sets,
             accesses=scenario.profile_accesses,
             warmup=scenario.profile_warmup,
-            backend=backend,
         )
         for name in scenario.benchmarks()
     }
+
+
+def oracle_scenario_curves(
+    scenario: Scenario, *, backend: str
+) -> Dict[str, MissRatioCurve]:
+    """The scenario's curves from the per-way cache-simulation oracle."""
+    curves = {}
+    for name in scenario.benchmarks():
+        profile = get_benchmark(name)
+        curves[name] = MissRatioCurve(
+            benchmark=name,
+            l2_accesses_per_instruction=profile.l2_accesses_per_instruction,
+            points=simulated_miss_rates(
+                profile,
+                backend=backend,
+                num_sets=scenario.profile_num_sets,
+                accesses=scenario.profile_accesses,
+                warmup=scenario.profile_warmup,
+            ),
+        )
+    return curves
 
 
 @dataclass
@@ -404,6 +421,32 @@ def _without_event_kind(lines: List[str], kind: str) -> List[str]:
 # -----------------------------------------------------------------------------
 
 
+def _curve_drift(
+    reference: Dict[str, MissRatioCurve], other: Dict[str, MissRatioCurve]
+) -> List[str]:
+    """Violation lines for every point where two curve sets differ."""
+    violations: List[str] = []
+    for name in sorted(reference):
+        ref, curve = reference[name], other[name]
+        drifted = sorted(
+            ways
+            for ways in set(ref.points) | set(curve.points)
+            if ref.points.get(ways) != curve.points.get(ways)
+        )
+        for ways in drifted[:8]:
+            violations.append(
+                f"~ {name}@{ways}w: {ref.points.get(ways)} -> "
+                f"{curve.points.get(ways)}"
+            )
+        if ref.l2_accesses_per_instruction != curve.l2_accesses_per_instruction:
+            violations.append(
+                f"~ {name}.l2_accesses_per_instruction: "
+                f"{ref.l2_accesses_per_instruction} -> "
+                f"{curve.l2_accesses_per_instruction}"
+            )
+    return violations
+
+
 def _backend_pair(
     scenario: Scenario, *, rel_tol: float, abs_tol: float
 ) -> PairReport:
@@ -413,43 +456,29 @@ def _backend_pair(
         subject=f"{scenario.describe()}, reference vs {fast_name}",
     )
     with forced_backend("reference"):
-        reference_curves = profile_scenario_curves(
+        reference_curves = oracle_scenario_curves(
             scenario, backend="reference"
         )
     with forced_backend(fast_name):
-        fast_curves = profile_scenario_curves(scenario, backend=fast_name)
-
-    curve_violations: List[str] = []
-    for name in scenario.benchmarks():
-        ref, fast = reference_curves[name], fast_curves[name]
-        if ref.points != fast.points:
-            drifted = sorted(
-                ways
-                for ways in set(ref.points) | set(fast.points)
-                if ref.points.get(ways) != fast.points.get(ways)
-            )
-            for ways in drifted[:8]:
-                curve_violations.append(
-                    f"~ {name}@{ways}w: {ref.points.get(ways)} -> "
-                    f"{fast.points.get(ways)}"
-                )
-        if (
-            ref.l2_accesses_per_instruction
-            != fast.l2_accesses_per_instruction
-        ):
-            curve_violations.append(
-                f"~ {name}.l2_accesses_per_instruction: "
-                f"{ref.l2_accesses_per_instruction} -> "
-                f"{fast.l2_accesses_per_instruction}"
-            )
+        kernel_curves = oracle_scenario_curves(scenario, backend=fast_name)
+        profiled_curves = profile_scenario_curves(scenario)
     report.checks.append(
-        CheckResult.from_violations("miss-curves-identical", curve_violations)
+        CheckResult.from_violations(
+            "stack-distance-exact",
+            _curve_drift(reference_curves, profiled_curves),
+        )
+    )
+    report.checks.append(
+        CheckResult.from_violations(
+            "miss-curves-identical",
+            _curve_drift(reference_curves, kernel_curves),
+        )
     )
 
     with forced_backend("reference"):
         arm_a = _run_sweep_arm(scenario, curves=reference_curves, jobs=1)
     with forced_backend(fast_name):
-        arm_b = _run_sweep_arm(scenario, curves=fast_curves, jobs=1)
+        arm_b = _run_sweep_arm(scenario, curves=profiled_curves, jobs=1)
     report.checks.append(
         CheckResult.from_violations(
             "counters-identical",

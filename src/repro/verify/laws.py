@@ -7,8 +7,9 @@ paper's model (or basic queueing/caching theory) says so:
 - **miss-curve-monotone** — under LRU inclusion, giving a benchmark
   more cache ways never increases its measured miss rate (checked on
   the *raw* per-way measurements, before the curve normalisation that
-  would hide an inversion), and both backends must measure the same
-  raw points.
+  would hide an inversion); the profiler's stack-distance points must
+  equal the per-way cache-simulation oracle on the reference backend,
+  and every other backend's oracle must equal the reference's.
 - **mode-downgrade-floor** — walking the Strict → Elastic(X) →
   Opportunistic ladder (voluntary, Section 3.3–3.4, or the fault-
   recovery ladder of :mod:`repro.faults.resilience`) never *raises*
@@ -77,6 +78,7 @@ from repro.faults.resilience import downgrade_mode
 from repro.mem.fair_queue import FairQueueBus, FcfsBus
 from repro.sim.config import SimulationConfig
 from repro.util.rng import DeterministicRng
+from repro.verify.oracle import simulated_miss_rates
 from repro.verify.report import CheckResult, PairReport, VerifyReport
 from repro.workloads.benchmarks import get_benchmark
 from repro.workloads.profiler import measure_miss_rates
@@ -108,44 +110,49 @@ class Law:
 
 def _check_miss_curve_monotone(seed: int) -> List[str]:
     violations: List[str] = []
+    sizing = dict(
+        ways_list=range(1, 17),
+        num_sets=16,
+        accesses=6_000,
+        warmup=2_000,
+        seed=seed,
+    )
     for name in _LAW_BENCHMARKS:
         profile = get_benchmark(name)
-        per_backend: Dict[str, Dict[int, float]] = {}
-        for backend in BACKENDS:
-            raw = measure_miss_rates(
-                profile,
-                ways_list=range(1, 17),
-                num_sets=16,
-                accesses=6_000,
-                warmup=2_000,
-                seed=seed,
-                backend=backend,
-            )
-            per_backend[backend] = raw
-            previous_ways: Optional[int] = None
-            for ways in sorted(raw):
-                if (
-                    previous_ways is not None
-                    and raw[ways] > raw[previous_ways] + _MONOTONE_EPSILON
-                ):
-                    violations.append(
-                        f"{name}[{backend}]: miss rate rose from "
-                        f"{raw[previous_ways]:.4f}@{previous_ways}w to "
-                        f"{raw[ways]:.4f}@{ways}w"
-                    )
-                previous_ways = ways
-        if per_backend["reference"] != per_backend["fast"]:
+        raw = measure_miss_rates(profile, **sizing)
+        previous_ways: Optional[int] = None
+        for ways in sorted(raw):
+            if (
+                previous_ways is not None
+                and raw[ways] > raw[previous_ways] + _MONOTONE_EPSILON
+            ):
+                violations.append(
+                    f"{name}: miss rate rose from "
+                    f"{raw[previous_ways]:.4f}@{previous_ways}w to "
+                    f"{raw[ways]:.4f}@{ways}w"
+                )
+            previous_ways = ways
+        oracle = {
+            backend: simulated_miss_rates(profile, backend=backend, **sizing)
+            for backend in BACKENDS
+        }
+        measured = {"stack-distance": raw}
+        measured.update(
+            (backend, points)
+            for backend, points in oracle.items()
+            if backend != "reference"
+        )
+        for label, points in measured.items():
             drifted = sorted(
                 ways
-                for ways in per_backend["reference"]
-                if per_backend["reference"][ways]
-                != per_backend["fast"][ways]
+                for ways in oracle["reference"]
+                if points[ways] != oracle["reference"][ways]
             )
             for ways in drifted[:8]:
                 violations.append(
-                    f"{name}@{ways}w: backends disagree on the raw rate "
-                    f"({per_backend['reference'][ways]:.6f} reference vs "
-                    f"{per_backend['fast'][ways]:.6f} fast)"
+                    f"{name}@{ways}w: {label} disagrees with the reference "
+                    f"oracle on the raw rate ({points[ways]:.6f} vs "
+                    f"{oracle['reference'][ways]:.6f})"
                 )
     return violations
 
@@ -701,7 +708,8 @@ LAWS: Dict[str, Law] = {
         Law(
             name="miss-curve-monotone",
             description="more ways never raise the raw miss rate; "
-            "backends measure identical raw points",
+            "stack-distance points equal the per-way cache oracle "
+            "on every backend",
             check=_check_miss_curve_monotone,
         ),
         Law(

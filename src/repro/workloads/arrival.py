@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator, List
 
 from repro.util.rng import DeterministicRng
@@ -60,12 +61,13 @@ class DeadlinePolicy:
             DeadlineClass.MODERATE,
             DeadlineClass.RELAXED,
         ]
-        weights = [
+        fractions = (
             self.tight_fraction,
             self.moderate_fraction,
             self.relaxed_fraction,
-        ]
-        return [rng.weighted_choice(classes, weights) for _ in range(count)]
+        )
+        picks = rng.weighted_indices(list(accumulate(fractions)), count)
+        return [classes[i] for i in picks]
 
     @staticmethod
     def multiplier(deadline_class: DeadlineClass) -> float:

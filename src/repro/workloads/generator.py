@@ -4,11 +4,18 @@ A benchmark's L2 access stream is modelled as a weighted interleaving
 of pattern primitives (loops, Zipf pools, streams).  Each component gets
 a private, non-overlapping address region; per access, one component is
 drawn by weight and asked for its next address.
+
+Generation is batched: the component picks, the write flags and each
+pattern's addresses come from independent child streams, so a batch of
+``n`` draws each stream in bulk and then interleaves.  Every draw — and
+so every address — is the one the per-access loop would make, and
+consecutive batches continue each other exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator, List, Sequence, Tuple
 
 from repro.cpu.core import MemoryAccess
@@ -83,7 +90,15 @@ class TraceGenerator:
             needed = component.pattern.region_bytes()
             slots = (needed + self.REGION_ALIGNMENT - 1) // self.REGION_ALIGNMENT
             region += max(1, slots) * self.REGION_ALIGNMENT
-        self._weights = [component.weight for component in self.components]
+        # A pattern object shared by several components is one stream,
+        # so it gets one slot and one batch serves all of them.
+        patterns = {id(c.pattern): c.pattern for c in self.components}
+        slot_of_pattern = {key: slot for slot, key in enumerate(patterns)}
+        self._patterns = list(patterns.values())
+        self._slot_of = [slot_of_pattern[id(c.pattern)] for c in self.components]
+        self._cum_weights = list(
+            accumulate(component.weight for component in self.components)
+        )
         self._pick_rng = rng.stream("component-pick")
         self._write_rng = rng.stream("write-pick")
         self._bound = True
@@ -95,26 +110,32 @@ class TraceGenerator:
 
     def accesses(self, count: int) -> Iterator[MemoryAccess]:
         """Yield ``count`` accesses from the bound mixture."""
+        return (
+            MemoryAccess(address, is_write=is_write)
+            for address, is_write in self.address_stream(count)
+        )
+
+    def address_stream(self, count: int) -> Iterator[Tuple[int, bool]]:
+        """``count`` ``(address, is_write)`` tuples (lighter than dataclasses)."""
         if not self._bound:
             raise RuntimeError("bind() must be called before generating")
         check_positive("count", count)
         components = self.components
         if len(components) == 1:
-            only = components[0].pattern
-            for _ in range(count):
-                yield MemoryAccess(
-                    only.next_address(),
-                    is_write=self._write_rng.uniform() < self.write_fraction,
-                )
-            return
-        for _ in range(count):
-            component = self._pick_rng.weighted_choice(components, self._weights)
-            yield MemoryAccess(
-                component.pattern.next_address(),
-                is_write=self._write_rng.uniform() < self.write_fraction,
-            )
-
-    def address_stream(self, count: int) -> Iterator[Tuple[int, bool]]:
-        """Yield ``(address, is_write)`` tuples (lighter than dataclasses)."""
-        for access in self.accesses(count):
-            yield access.address, access.is_write
+            addresses = components[0].pattern.next_addresses(count)
+        else:
+            picks = self._pick_rng.weighted_indices(self._cum_weights, count)
+            # Each pattern emits its whole share in one batch, consumed
+            # in pick order.
+            shares = [0] * len(self._patterns)
+            for index, slot in enumerate(self._slot_of):
+                shares[slot] += picks.count(index)
+            batches = [
+                iter(pattern.next_addresses(share)).__next__
+                for pattern, share in zip(self._patterns, shares)
+            ]
+            next_of = [batches[slot] for slot in self._slot_of]
+            addresses = [next_of[pick]() for pick in picks]
+        write_fraction = self.write_fraction
+        writes = [u < write_fraction for u in self._write_rng.randoms(count)]
+        return zip(addresses, writes)

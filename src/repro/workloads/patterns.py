@@ -25,7 +25,7 @@ sensitivity classes (Figure 4):
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Sequence
+from typing import List, Sequence
 
 from repro.util.rng import DeterministicRng
 from repro.util.validation import check_positive
@@ -36,8 +36,10 @@ class AccessPattern(ABC):
 
     ``bind`` fixes the cache geometry (set count, block size) and the
     region base address; ``next_address`` then yields addresses one at a
-    time.  Patterns are deliberately cheap per call: the system profiler
-    draws millions of addresses.
+    time and ``next_addresses`` a batch of them.  A batch of ``k`` is
+    exactly the next ``k`` single addresses — same draws from the
+    pattern's own stream, same final state — so trace generators can
+    pull in bulk without changing a single address.
     """
 
     def __init__(self, footprint_ways: float) -> None:
@@ -86,6 +88,23 @@ class AccessPattern(ABC):
     def next_address(self) -> int:
         """Return the next byte address of the pattern."""
 
+    def next_addresses(self, k: int) -> List[int]:
+        """The next ``k`` addresses, as ``k`` calls to :meth:`next_address`."""
+        next_address = self.next_address
+        return [next_address() for _ in range(k)]
+
+    def _cyclic_run(self, k: int, stride: int = 1) -> List[int]:
+        """``k`` cursor steps of ``stride`` blocks, wrapping; advances ``_cursor``."""
+        base, block_bytes, num_blocks = (
+            self.region_base, self.block_bytes, self.num_blocks
+        )
+        start = self._cursor
+        self._cursor = (start + k * stride) % num_blocks
+        return [
+            base + (index % num_blocks) * block_bytes
+            for index in range(start, start + k * stride, stride)
+        ]
+
 
 class LoopPattern(AccessPattern):
     """Cyclic sequential sweep over the footprint (LRU cliff behaviour)."""
@@ -97,6 +116,9 @@ class LoopPattern(AccessPattern):
         address = self._block_to_address(self._cursor)
         self._cursor = (self._cursor + 1) % self.num_blocks
         return address
+
+    def next_addresses(self, k: int) -> List[int]:
+        return self._cyclic_run(k)
 
 
 class ZipfPattern(AccessPattern):
@@ -115,12 +137,22 @@ class ZipfPattern(AccessPattern):
     def _on_bind(self) -> None:
         # Scatter popularity ranks over the region so that hot blocks are
         # spread across sets rather than clustered in the first sets.
-        self._rank_to_block = list(range(self.num_blocks))
-        self.rng.shuffle(self._rank_to_block)
+        rank_to_block = list(range(self.num_blocks))
+        self.rng.shuffle(rank_to_block)
+        self._rank_to_address = [
+            self._block_to_address(block) for block in rank_to_block
+        ]
 
     def next_address(self) -> int:
         rank = self.rng.zipf_index(self.num_blocks, self.alpha)
-        return self._block_to_address(self._rank_to_block[rank])
+        return self._rank_to_address[rank]
+
+    def next_addresses(self, k: int) -> List[int]:
+        rank_to_address = self._rank_to_address
+        return [
+            rank_to_address[rank]
+            for rank in self.rng.zipf_indices(self.num_blocks, self.alpha, k)
+        ]
 
 
 class PhasedPattern(AccessPattern):
@@ -173,6 +205,20 @@ class PhasedPattern(AccessPattern):
         self._remaining -= 1
         return self.phases[self._current].next_address()
 
+    def next_addresses(self, k: int) -> List[int]:
+        # Whole runs per phase: each phase draws only from its own
+        # stream, so batching a run changes no address.
+        addresses: List[int] = []
+        while k > 0:
+            if self._remaining == 0:
+                self._current = (self._current + 1) % len(self.phases)
+                self._remaining = self.phase_length
+            run = min(k, self._remaining)
+            addresses += self.phases[self._current].next_addresses(run)
+            self._remaining -= run
+            k -= run
+        return addresses
+
 
 class StreamingPattern(AccessPattern):
     """No-reuse streaming: advances forever through a wrapping window.
@@ -196,3 +242,6 @@ class StreamingPattern(AccessPattern):
         address = self._block_to_address(self._cursor)
         self._cursor = (self._cursor + self._stride) % self.num_blocks
         return address
+
+    def next_addresses(self, k: int) -> List[int]:
+        return self._cyclic_run(k, self._stride)

@@ -5,12 +5,23 @@ miss rate as a function of allocated ways — exactly what the paper's
 framework observes through its allocation counters and what utility-
 based partitioning papers call a miss-ratio curve (MRC).
 
-:func:`profile_benchmark` obtains the curve the honest way: it runs the
-benchmark's synthetic trace through a real trace-driven LRU cache at
-every candidate way count.  Profiling runs on a scaled-down set count
-(footprints are way-denominated, so the curve is set-count invariant;
-see :mod:`repro.workloads.patterns`) and results are memoised
-process-wide because every experiment reuses the same fifteen curves.
+:func:`profile_benchmark` measures the curve from the benchmark's
+synthetic trace with one Mattson stack-distance pass (Mattson et al.,
+"Evaluation techniques for storage hierarchies", IBM Sys. J. 1970).
+LRU has the inclusion property: a ``w``-way set holds exactly the ``w``
+most recently used blocks of that set.  So an access hits a ``w``-way
+cache iff its block sits at depth ``< w`` of the set's LRU stack, and
+one pass over one generated trace yields the miss rate at every way
+count — exactly what a ``w``-way write-allocate LRU cache would report
+for each ``w`` (writes allocate like reads, so they do not change the
+stack).  The per-way cache simulation this replaces is kept as the
+oracle, :func:`repro.verify.oracle.simulated_miss_rates`, which the
+differential pair, the curve law and the tests check the pass against.
+
+Profiling runs on a scaled-down set count (footprints are
+way-denominated, so the curve is set-count invariant; see
+:mod:`repro.workloads.patterns`) and results are memoised process-wide
+because every experiment reuses the same fifteen curves.
 """
 
 from __future__ import annotations
@@ -19,9 +30,8 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.cache.backend import make_cache
 from repro.cache.geometry import CacheGeometry
 from repro.util.rng import DeterministicRng
 from repro.util.validation import check_non_negative, check_positive
@@ -116,6 +126,45 @@ class MissRatioCurve:
         return None
 
 
+def stack_distance_histogram(
+    addresses: Sequence[int], geometry: CacheGeometry, *, warmup: int = 0
+) -> List[int]:
+    """Hits by LRU stack depth over ``addresses[warmup:]``.
+
+    ``histogram[d]`` counts the measured accesses whose block was at
+    depth ``d`` (0 = most recently used) of its set's LRU stack, for
+    ``d < geometry.associativity``; deeper reuses and first touches
+    count nowhere, since they miss at every way count up to the
+    associativity.  The first ``warmup`` accesses only fill the stacks.
+    A ``w``-way LRU cache of the same sets therefore misses
+    ``len(addresses) - warmup - sum(histogram[:w])`` times.
+    """
+    offset = geometry.offset_bits
+    set_mask = geometry.num_sets - 1
+    depth_limit = geometry.associativity
+    stacks: List[List[int]] = [[] for _ in range(geometry.num_sets)]
+
+    def replay(chunk: Sequence[int]) -> List[int]:
+        histogram = [0] * depth_limit
+        for address in chunk:
+            block = address >> offset
+            stack = stacks[block & set_mask]
+            if block in stack:
+                depth = stack.index(block)
+                histogram[depth] += 1
+                if depth:
+                    del stack[depth]
+                    stack.insert(0, block)
+            else:
+                stack.insert(0, block)
+                if len(stack) > depth_limit:
+                    stack.pop()
+        return histogram
+
+    replay(addresses[:warmup])
+    return replay(addresses[warmup:])
+
+
 def measure_miss_rates(
     profile: BenchmarkProfile,
     *,
@@ -125,42 +174,45 @@ def measure_miss_rates(
     accesses: int = 40_000,
     warmup: int = 15_000,
     seed: int = 1234,
-    backend: Optional[str] = None,
 ) -> Dict[int, float]:
-    """Raw per-way miss rates, exactly as the cache measured them.
+    """Raw per-way miss rates, exactly as an LRU cache would measure them.
 
-    The measurement loop behind :func:`profile_benchmark`, *without*
-    the :class:`MissRatioCurve` monotonicity normalisation — the
-    verification laws check the raw points (more ways never hurts
-    under LRU inclusion), which the normalised curve would hide by
-    construction.
+    The measurement behind :func:`profile_benchmark`, *without* the
+    :class:`MissRatioCurve` monotonicity normalisation — the
+    verification laws check the raw points, which the normalised curve
+    would hide by construction.  One trace of ``warmup + accesses``
+    addresses is generated and replayed once through
+    :func:`stack_distance_histogram`; the point at ``w`` ways equals
+    what a ``w``-way, ``num_sets``-set LRU cache reports after the same
+    warmup (:func:`repro.verify.oracle.simulated_miss_rates`).  The
+    result has one entry per distinct way count, in ``ways_list``
+    order.
     """
     check_positive("accesses", accesses)
     check_non_negative("warmup", warmup)
-    from itertools import islice
-
-    points: Dict[int, float] = {}
+    ways_list = list(ways_list)
     for ways in ways_list:
         if ways <= 0:
             raise ValueError(f"ways must be positive, got {ways}")
-        geometry = CacheGeometry.from_sets(num_sets, ways, block_bytes)
-        cache = make_cache(
-            geometry, name=f"{profile.name}-{ways}w", backend=backend
-        )
-        generator = profile.make_generator()
-        generator.bind(
-            num_sets=num_sets,
-            block_bytes=block_bytes,
-            rng=DeterministicRng(seed, f"profile-{profile.name}"),
-        )
-        stream = generator.address_stream(warmup + accesses)
-        if warmup:
-            addresses, writes = zip(*islice(stream, warmup))
-            cache.access_block(addresses, writes)
-        addresses, writes = zip(*stream)
-        measured = cache.access_block(addresses, writes)
-        points[ways] = measured.miss_rate
-    return points
+    if not ways_list:
+        return {}
+    geometry = CacheGeometry.from_sets(num_sets, max(ways_list), block_bytes)
+    generator = profile.make_generator()
+    generator.bind(
+        num_sets=num_sets,
+        block_bytes=block_bytes,
+        rng=DeterministicRng(seed, f"profile-{profile.name}"),
+    )
+    addresses = [
+        address for address, _ in generator.address_stream(warmup + accesses)
+    ]
+    histogram = stack_distance_histogram(addresses, geometry, warmup=warmup)
+    hits_within = [0]
+    for hits in histogram:
+        hits_within.append(hits_within[-1] + hits)
+    return {
+        ways: (accesses - hits_within[ways]) / accesses for ways in ways_list
+    }
 
 
 def profile_benchmark(
@@ -172,16 +224,14 @@ def profile_benchmark(
     accesses: int = 40_000,
     warmup: int = 15_000,
     seed: int = 1234,
-    backend: Optional[str] = None,
 ) -> MissRatioCurve:
-    """Measure ``profile``'s miss-ratio curve by direct cache simulation.
+    """Measure ``profile``'s miss-ratio curve in one stack-distance pass.
 
-    For each candidate way count ``w`` the benchmark's trace runs alone
-    through a ``w``-way LRU cache with ``num_sets`` sets (a partition
-    view of the shared L2).  ``warmup`` accesses fill the cache before
-    ``accesses`` measured ones.  ``backend`` selects the cache
-    implementation (:mod:`repro.cache.backend`); both backends produce
-    identical curves.
+    The benchmark's trace runs alone through the LRU stacks of a
+    ``num_sets``-set cache (a partition view of the shared L2):
+    ``warmup`` accesses fill the stacks before ``accesses`` measured
+    ones, and the miss rate at every candidate way count ``w`` is read
+    off the one pass (see :func:`measure_miss_rates`).
     """
     points = measure_miss_rates(
         profile,
@@ -191,7 +241,6 @@ def profile_benchmark(
         accesses=accesses,
         warmup=warmup,
         seed=seed,
-        backend=backend,
     )
     return MissRatioCurve(
         benchmark=profile.name,
@@ -226,16 +275,12 @@ def get_curve(
     block_bytes: int = 64,
     accesses: int = 40_000,
     seed: int = 1234,
-    backend: Optional[str] = None,
 ) -> MissRatioCurve:
     """Memoised :func:`profile_benchmark` (one curve per configuration).
 
     Two layers of memoisation: the in-process dict below, then the
     content-addressed on-disk store (:mod:`repro.analysis.misscache`)
-    shared across processes and runs.  Neither key includes the cache
-    backend — both backends produce identical curves (pinned by the
-    differential test suite), so a curve profiled under one backend is
-    valid under the other.
+    shared across processes and runs.
     """
     key = (profile_digest(profile), num_sets, block_bytes, accesses, seed)
     if key not in _CURVE_CACHE:
@@ -257,7 +302,6 @@ def get_curve(
                 block_bytes=block_bytes,
                 accesses=accesses,
                 seed=seed,
-                backend=backend,
             )
             misscache.store_curve(
                 cached,
@@ -277,8 +321,8 @@ def clear_curve_cache() -> None:
 
 
 # -----------------------------------------------------------------------------
-# Curve persistence: profiling the fifteen benchmarks takes a couple of
-# minutes; saving the curves lets CLIs and notebooks skip re-profiling.
+# Curve persistence: saving a set of curves to one JSON file lets CLIs
+# and notebooks pin and share exactly the curves an experiment used.
 # -----------------------------------------------------------------------------
 
 

@@ -5,8 +5,10 @@ import json
 import pytest
 
 from repro.analysis import misscache
+from repro.verify.oracle import simulated_miss_rates
 from repro.workloads.benchmarks import get_benchmark
 from repro.workloads.profiler import (
+    MissRatioCurve,
     clear_curve_cache,
     get_curve,
     profile_benchmark,
@@ -194,14 +196,18 @@ class TestGetCurveIntegration:
         assert misscache.stats()["hits"] == 1
         assert second.points == first.points
 
-    def test_curves_identical_across_backends(self):
+    def test_curve_equals_reference_kernel_oracle(self):
         profile = get_benchmark("gobmk")
         kwargs = dict(num_sets=8, accesses=2_000, seed=7)
-        fast = get_curve(profile, backend="fast", **kwargs)
-        clear_curve_cache()
-        misscache.set_enabled(False)  # force a real re-profile
-        reference = get_curve(profile, backend="reference", **kwargs)
-        assert fast.points == reference.points
+        curve = get_curve(profile, **kwargs)
+        oracle = MissRatioCurve(
+            benchmark=profile.name,
+            l2_accesses_per_instruction=profile.l2_accesses_per_instruction,
+            points=simulated_miss_rates(
+                profile, backend="reference", **kwargs
+            ),
+        )
+        assert curve.points == oracle.points
 
     def test_entry_payload_is_inspectable_json(self, isolated_store):
         profile = get_benchmark("bzip2")

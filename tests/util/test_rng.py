@@ -1,5 +1,8 @@
 """Tests for deterministic RNG streams."""
 
+import random
+from itertools import accumulate
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -116,3 +119,80 @@ class TestDraws:
     def test_any_seed_is_usable(self, seed):
         rng = DeterministicRng(seed)
         assert 0.0 <= rng.uniform() < 1.0
+
+
+def scalar_zipf(draw, cdf):
+    """The scalar inverse-CDF search: first index whose CDF reaches
+    ``u``, never past the last index."""
+    u = draw()
+    lo, hi = 0, len(cdf) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if cdf[mid] < u:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+class ScriptedRandom:
+    """A stand-in for ``random.Random`` that replays fixed draws."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+
+    def random(self):
+        return next(self._values)
+
+
+class TestBulkDraws:
+    """Bulk primitives equal ``k`` scalar draws on a twin stream."""
+
+    @given(
+        st.integers(min_value=0, max_value=2**64 - 1),
+        st.lists(
+            st.floats(min_value=0.01, max_value=10.0), min_size=1, max_size=6
+        ),
+        st.integers(min_value=0, max_value=300),
+    )
+    def test_weighted_indices_equal_scalar_choices(self, seed, weights, k):
+        bulk = DeterministicRng(seed, "pick")
+        scalar = DeterministicRng(seed, "pick")
+        items = list(range(len(weights)))
+        assert bulk.weighted_indices(list(accumulate(weights)), k) == [
+            scalar.weighted_choice(items, weights) for _ in range(k)
+        ]
+        assert bulk.uniform() == scalar.uniform()  # streams still in step
+
+    @given(
+        st.integers(min_value=0, max_value=2**64 - 1),
+        st.integers(min_value=1, max_value=500),
+        st.sampled_from([0.5, 0.8, 1.0, 1.2]),
+        st.integers(min_value=0, max_value=300),
+    )
+    def test_zipf_indices_equal_scalar_search(self, seed, n, alpha, k):
+        bulk = DeterministicRng(seed, "zipf")
+        scalar = DeterministicRng(seed, "zipf")
+        twin = random.Random(bulk.seed)
+        cdf = bulk._zipf_cdf(n, alpha)
+        expected = [scalar_zipf(twin.random, cdf) for _ in range(k)]
+        assert bulk.zipf_indices(n, alpha, k) == expected
+        assert [scalar.zipf_index(n, alpha) for _ in range(k)] == expected
+
+    def test_zipf_draw_above_cdf_tail_clamps_to_last_index(self):
+        # Floating-point summation can leave cdf[-1] below 1.0; a draw
+        # in that gap must still land on the last index.
+        cdf = [0.25, 0.5, 0.75, 0.9]
+        draws = [0.0, 0.25, 0.26, 0.9, 0.95, 0.9999999999999999]
+        rng = DeterministicRng(1, "clamp")
+        rng._zipf_cache = {(4, 1.0): cdf}
+        rng._random = ScriptedRandom(draws)
+        scripted = ScriptedRandom(draws)
+        expected = [scalar_zipf(scripted.random, cdf) for _ in draws]
+        assert expected == [0, 0, 1, 3, 3, 3]
+        assert rng.zipf_indices(4, 1.0, len(draws)) == expected
+
+    def test_randoms_equal_scalar_uniforms(self):
+        bulk = DeterministicRng(5, "u")
+        scalar = DeterministicRng(5, "u")
+        assert bulk.randoms(50) == [scalar.uniform() for _ in range(50)]

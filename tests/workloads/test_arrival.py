@@ -35,6 +35,17 @@ class TestDeadlinePolicy:
         b = policy.assign(20, DeterministicRng(9, "t"))
         assert a == b
 
+    def test_bulk_assignment_matches_per_job_draws(self):
+        policy = DeadlinePolicy(
+            tight_fraction=0.45, moderate_fraction=0.35, relaxed_fraction=0.2
+        )
+        classes = list(DeadlineClass)
+        weights = [0.45, 0.35, 0.2]
+        scalar = DeterministicRng(3, "t")
+        assert policy.assign(400, DeterministicRng(3, "t")) == [
+            scalar.weighted_choice(classes, weights) for _ in range(400)
+        ]
+
     def test_fractions_must_sum_to_one(self):
         with pytest.raises(ValueError):
             DeadlinePolicy(tight_fraction=0.5, moderate_fraction=0.5,

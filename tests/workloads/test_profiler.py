@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.workloads.benchmarks import BENCHMARKS
+from repro.verify.oracle import simulated_miss_rates
+from repro.workloads.benchmarks import BENCHMARKS, BenchmarkProfile
 from repro.workloads.profiler import (
     MissRatioCurve,
     clear_curve_cache,
     get_curve,
+    measure_miss_rates,
     profile_benchmark,
 )
 
@@ -114,6 +116,86 @@ class TestProfiling:
                 BENCHMARKS["hmmer"], ways_list=(0,), num_sets=16,
                 accesses=100, warmup=0,
             )
+
+
+class TestInputChecks:
+    """The one-pass profiler rejects and accepts what the per-way loop did."""
+
+    def test_nonpositive_ways_rejected_before_generation(self, monkeypatch):
+        def no_generation(_profile):
+            raise AssertionError("generated a trace before checking ways")
+
+        monkeypatch.setattr(BenchmarkProfile, "make_generator", no_generation)
+        for ways_list in ((4, 0), (-1,), (8, 2, -3)):
+            with pytest.raises(ValueError, match="ways must be positive"):
+                measure_miss_rates(
+                    BENCHMARKS["hmmer"], ways_list=ways_list, num_sets=16,
+                    accesses=100, warmup=0,
+                )
+
+    @pytest.mark.parametrize(
+        "geometry", [dict(num_sets=24), dict(num_sets=0), dict(block_bytes=48)]
+    )
+    def test_non_power_of_two_geometry_rejected(self, geometry):
+        kwargs = dict(ways_list=(1, 2), num_sets=16, block_bytes=64)
+        kwargs.update(geometry)
+        with pytest.raises(ValueError):
+            measure_miss_rates(
+                BENCHMARKS["hmmer"], accesses=100, warmup=0, **kwargs
+            )
+
+    def test_empty_ways_list_returns_empty(self):
+        assert measure_miss_rates(
+            BENCHMARKS["hmmer"], ways_list=(), num_sets=16, accesses=100
+        ) == {}
+
+    def test_unsorted_and_duplicate_ways_match_the_per_way_loop(self):
+        kwargs = dict(
+            ways_list=(8, 2, 8, 5, 2, 1), num_sets=16, accesses=1_000,
+            warmup=500,
+        )
+        profile = BENCHMARKS["bzip2"]
+        points = measure_miss_rates(profile, **kwargs)
+        oracle = simulated_miss_rates(profile, backend="reference", **kwargs)
+        assert points == oracle
+        assert list(points) == list(oracle) == [8, 2, 5, 1]
+
+
+class TestStackDistanceExactness:
+    """One stack-distance pass equals a real cache at every way count."""
+
+    @pytest.mark.parametrize("name", sorted(BENCHMARKS))
+    def test_every_profile_matches_the_reference_kernel(self, name):
+        kwargs = dict(num_sets=16, accesses=1_000, warmup=3_000)
+        assert measure_miss_rates(
+            BENCHMARKS[name], **kwargs
+        ) == simulated_miss_rates(
+            BENCHMARKS[name], backend="reference", **kwargs
+        )
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(BENCHMARKS)),
+        ways_list=st.lists(
+            st.integers(min_value=1, max_value=24), min_size=1, max_size=6
+        ),
+        num_sets=st.sampled_from([1, 2, 4, 8, 16, 32, 64, 128]),
+        warmup=st.integers(min_value=0, max_value=1_500),
+        accesses=st.integers(min_value=1, max_value=1_500),
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    def test_any_sizing_matches_the_reference_kernel(
+        self, name, ways_list, num_sets, warmup, accesses, seed
+    ):
+        kwargs = dict(
+            ways_list=ways_list, num_sets=num_sets, warmup=warmup,
+            accesses=accesses, seed=seed,
+        )
+        assert measure_miss_rates(
+            BENCHMARKS[name], **kwargs
+        ) == simulated_miss_rates(
+            BENCHMARKS[name], backend="reference", **kwargs
+        )
 
 
 class TestCurveCache:
