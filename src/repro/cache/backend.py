@@ -24,27 +24,30 @@ from __future__ import annotations
 
 import contextlib
 import os
-from typing import Iterator, Optional, Union
+from typing import TYPE_CHECKING, Iterator, Optional, Union
 
 from repro.cache.basic import SetAssociativeCache
 from repro.cache.fastsim import (
     FastSetAssociativeCache,
     FastWayPartitionedCache,
 )
-from repro.cache.fastsim_vec import (
-    FastVecSetAssociativeCache,
-    require_numpy,
-)
 from repro.cache.geometry import CacheGeometry
 from repro.cache.partitioned import WayPartitionedCache
 from repro.obs import get_observer
 
-BACKENDS = ("reference", "fast", "fast-vec")
+if TYPE_CHECKING:
+    # fastsim_vec imports numpy; only the fast-vec branch of
+    # make_cache loads it at run time.
+    from repro.cache.fastsim_vec import FastVecSetAssociativeCache
 
-#: Any single-level cache, any backend.
-AnyCache = Union[
-    SetAssociativeCache, FastSetAssociativeCache, FastVecSetAssociativeCache
-]
+    #: Any single-level cache, any backend.
+    AnyCache = Union[
+        SetAssociativeCache,
+        FastSetAssociativeCache,
+        FastVecSetAssociativeCache,
+    ]
+
+BACKENDS = ("reference", "fast", "fast-vec")
 #: Any way-partitioned shared cache, either backend.
 AnyPartitionedCache = Union[WayPartitionedCache, FastWayPartitionedCache]
 
@@ -140,6 +143,11 @@ def make_cache(
     if policy != "lru":
         chosen = "reference"
     if chosen == "fast-vec":
+        from repro.cache.fastsim_vec import (
+            FastVecSetAssociativeCache,
+            require_numpy,
+        )
+
         require_numpy()
     obs = get_observer()
     if obs.enabled:

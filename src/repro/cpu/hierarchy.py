@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Optional, Sequence
 
 from repro.cache.backend import (
-    AnyCache,
     AnyPartitionedCache,
     record_lookup_span,
 )
@@ -23,6 +22,9 @@ from repro.mem.dram import DramModel
 from repro.obs import get_observer
 from repro.obs.trace import derive_trace_id
 from repro.util.validation import check_non_negative
+
+if TYPE_CHECKING:
+    from repro.cache.backend import AnyCache
 
 
 class ServiceLevel(enum.Enum):

@@ -10,10 +10,9 @@ against real caches.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional
+from typing import TYPE_CHECKING, Dict, Iterator, Optional
 
 from repro.cache.backend import (
-    AnyCache,
     AnyPartitionedCache,
     make_cache,
     make_partitioned_cache,
@@ -27,6 +26,9 @@ from repro.cpu.hierarchy import MemoryHierarchy
 from repro.obs import get_observer
 from repro.sim.config import MachineConfig
 from repro.util.validation import check_positive
+
+if TYPE_CHECKING:
+    from repro.cache.backend import AnyCache
 
 
 class CmpNode:

@@ -1,13 +1,14 @@
 """A minimal deterministic discrete-event engine.
 
-Events are ``(time, sequence, callback)`` triples in a binary heap; ties
-in time break by insertion order, which keeps simulations exactly
-reproducible.  Cancellation uses lazy invalidation: cancelled handles
-stay in the heap and are skipped on pop (cheaper than heap surgery, and
-the simulators cancel often when rates change).  To keep rate-change
-heavy simulations from growing the heap without bound, the queue
-compacts itself — rebuilding the heap without cancelled entries —
-whenever cancelled entries outnumber live ones.
+Events are ``(time, sequence, entry)`` tuples in a binary heap, ordered
+by the plain tuple comparison: ties in time break by insertion order
+(sequences are unique, so the entry itself is never compared), which
+keeps simulations exactly reproducible.  Cancellation uses lazy
+invalidation: cancelled handles stay in the heap and are skipped on pop
+(cheaper than heap surgery, and the simulators cancel often when rates
+change).  To keep rate-change heavy simulations from growing the heap
+without bound, the queue compacts itself — rebuilding the heap without
+cancelled entries — whenever cancelled entries outnumber live ones.
 
 :meth:`EventQueue.run` additionally supports *graceful* budgets: an
 event-count budget and a wall-clock budget that stop the loop and
@@ -22,8 +23,8 @@ import heapq
 import itertools
 import math
 import time as _time
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Tuple
 
 from repro.obs import get_observer
 
@@ -64,13 +65,16 @@ class RunBudget:
             )
 
 
-@dataclass(order=True)
 class _HeapEntry:
-    time: float
-    sequence: int
-    callback: EventCallback = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-    popped: bool = field(default=False, compare=False)
+    """One scheduled event's mutable state; the heap orders its key."""
+
+    __slots__ = ("time", "callback", "cancelled", "popped")
+
+    def __init__(self, time: float, callback: EventCallback) -> None:
+        self.time = time
+        self.callback = callback
+        self.cancelled = False
+        self.popped = False
 
 
 class EventHandle:
@@ -107,7 +111,7 @@ class EventQueue:
     COMPACT_MIN_SIZE = 64
 
     def __init__(self) -> None:
-        self._heap: List[_HeapEntry] = []
+        self._heap: List[Tuple[float, int, _HeapEntry]] = []
         self._sequence = itertools.count()
         self._cancelled_in_heap = 0
         self.now = 0.0
@@ -121,8 +125,8 @@ class EventQueue:
             raise ValueError(
                 f"cannot schedule in the past: {time} < now {self.now}"
             )
-        entry = _HeapEntry(time, next(self._sequence), callback)
-        heapq.heappush(self._heap, entry)
+        entry = _HeapEntry(time, callback)
+        heapq.heappush(self._heap, (time, next(self._sequence), entry))
         return EventHandle(entry, self)
 
     def schedule_after(self, delay: float, callback: EventCallback) -> EventHandle:
@@ -134,18 +138,18 @@ class EventQueue:
     def peek_time(self) -> Optional[float]:
         """Time of the next live event, or ``None`` if empty."""
         self._drop_cancelled()
-        return self._heap[0].time if self._heap else None
+        return self._heap[0][0] if self._heap else None
 
     def step(self) -> bool:
         """Fire the next live event; return False when the queue is empty."""
         self._drop_cancelled()
         if not self._heap:
             return False
-        entry = heapq.heappop(self._heap)
+        time, _, entry = heapq.heappop(self._heap)
         entry.popped = True
-        self.now = entry.time
+        self.now = time
         self.events_fired += 1
-        entry.callback(entry.time)
+        entry.callback(time)
         return True
 
     def run(
@@ -244,7 +248,7 @@ class EventQueue:
         relative (time, sequence) ordering — and therefore the event
         schedule — is unchanged.
         """
-        self._heap = [entry for entry in self._heap if not entry.cancelled]
+        self._heap = [item for item in self._heap if not item[2].cancelled]
         heapq.heapify(self._heap)
         self._cancelled_in_heap = 0
         obs = get_observer()
@@ -252,13 +256,12 @@ class EventQueue:
             obs.metrics.counter("engine.compactions").inc()
 
     def _drop_cancelled(self) -> None:
-        while self._heap and self._heap[0].cancelled:
-            entry = heapq.heappop(self._heap)
-            entry.popped = True
+        while self._heap and self._heap[0][2].cancelled:
+            heapq.heappop(self._heap)[2].popped = True
             self._cancelled_in_heap -= 1
 
     def __len__(self) -> int:
-        return sum(1 for entry in self._heap if not entry.cancelled)
+        return sum(1 for item in self._heap if not item[2].cancelled)
 
     @property
     def heap_size(self) -> int:

@@ -24,24 +24,23 @@ from repro.core.metrics import (
     WallClockSummary,
 )
 from repro.core.spec import QoSTarget, ResourceVector, TimeslotRequest
-from repro.cpu.cpi import CpiModel
 from repro.sim.config import MachineConfig, SimulationConfig
 from repro.sim.engine import EventHandle, EventQueue
+from repro.sim.rates import RateTable, RateTables
 from repro.sim.system import SystemResult, _PROGRESS_EPSILON
 from repro.sim.tracing import ExecutionTrace
 from repro.util.rng import DeterministicRng
 from repro.workloads.arrival import DeadlinePolicy
 from repro.workloads.benchmarks import get_benchmark
 from repro.workloads.composer import JobSpec, WorkloadSpec
-from repro.workloads.profiler import MissRatioCurve, get_curve
+from repro.workloads.profiler import MissRatioCurve
 
 
 @dataclass
 class _EqualRun:
     job: Job
     spec: JobSpec
-    curve: MissRatioCurve
-    cpi_model: CpiModel
+    rates: RateTable
     core_id: int
     rate: float = 0.0
     progress: float = 0.0
@@ -70,22 +69,13 @@ class EqualPartSimulator:
         self.trace = ExecutionTrace()
         self.record_trace = record_trace
         self.rng = DeterministicRng(self.sim_config.seed, "equalpart-sim")
-        self._curves = dict(curves) if curves else {}
+        self._rates = RateTables(self.machine, self.sim_config, curves)
         self._states: Dict[int, _EqualRun] = {}
         self._accepted: List[Job] = []
         self._last_advance = 0.0
         self._finished = False
         # Equal split: every core owns 1/num_cores of the ways.
         self.ways_per_core = self.machine.l2_ways / self.machine.num_cores
-
-    def _curve_for(self, benchmark: str) -> MissRatioCurve:
-        if benchmark not in self._curves:
-            self._curves[benchmark] = get_curve(
-                get_benchmark(benchmark),
-                num_sets=self.sim_config.profile_num_sets,
-                accesses=self.sim_config.profile_accesses,
-            )
-        return self._curves[benchmark]
 
     def _requested_wall_clock(self, spec: JobSpec) -> float:
         """The user's tw expectation — at the *requested* allocation.
@@ -94,14 +84,9 @@ class EqualPartSimulator:
         configurations; the user asked for 7 ways and a core whether or
         not this system can deliver them.
         """
-        profile = get_benchmark(spec.benchmark)
-        curve = self._curve_for(spec.benchmark)
-        cpi = profile.cpi_model(
-            l2_latency=self.machine.l2_latency,
-            memory_latency=self.machine.memory_latency,
-        ).cpi(curve.mpi(spec.requested_ways))
-        cycles = self.sim_config.instructions_per_job * cpi
-        return self.machine.cycles_to_seconds(cycles)
+        return self._rates[spec.benchmark].at(
+            spec.requested_ways
+        ).wall_clock
 
     # -- main entry -------------------------------------------------------------
 
@@ -160,11 +145,7 @@ class EqualPartSimulator:
         self._states[job.job_id] = _EqualRun(
             job=job,
             spec=spec,
-            curve=self._curve_for(spec.benchmark),
-            cpi_model=get_benchmark(spec.benchmark).cpi_model(
-                l2_latency=self.machine.l2_latency,
-                memory_latency=self.machine.memory_latency,
-            ),
+            rates=self._rates[spec.benchmark],
             core_id=core,
         )
 
@@ -199,12 +180,12 @@ class EqualPartSimulator:
         for core, jobs_on_core in per_core.items():
             share = 1.0 / len(jobs_on_core)
             for state in jobs_on_core:
-                mpi = state.curve.mpi(self.ways_per_core)
-                writeback_factor = 1.0 + get_benchmark(
-                    state.spec.benchmark
-                ).write_fraction
+                entry = state.rates.at(self.ways_per_core)
                 transfers_per_cycle += (
-                    share * mpi * writeback_factor / state.cpi_model.cpi(mpi)
+                    share
+                    * entry.mpi
+                    * state.rates.writeback_factor
+                    / entry.cpi
                 )
         if self.sim_config.enable_bandwidth_model:
             multiplier = self.bandwidth.penalty_multiplier(
@@ -219,10 +200,7 @@ class EqualPartSimulator:
                 efficiency = self._timeshare_efficiency(
                     len(jobs_on_core), state
                 )
-                cpi = state.cpi_model.cpi(
-                    state.curve.mpi(self.ways_per_core),
-                    miss_penalty_multiplier=multiplier,
-                )
+                cpi = state.rates.cpi(self.ways_per_core, multiplier)
                 state.rate = share * efficiency * self.machine.clock_hz / cpi
                 if self.record_trace:
                     self.trace.update(

@@ -67,7 +67,6 @@ from repro.core.stealing import (
     ResourceStealingController,
     StealingAction,
 )
-from repro.cpu.cpi import CpiModel
 from repro.faults.injector import SystemFaultInjector
 from repro.faults.invariants import InvariantChecker
 from repro.faults.model import FaultConfig, FaultEvent, FaultSchedule
@@ -83,12 +82,12 @@ from repro.sim.engine import (
     EventQueue,
     RunBudget,
 )
+from repro.sim.rates import RateTable, RateTables
 from repro.sim.tracing import ExecutionTrace
 from repro.util.rng import DeterministicRng
 from repro.workloads.arrival import DeadlinePolicy
-from repro.workloads.benchmarks import get_benchmark
 from repro.workloads.composer import JobSpec, WorkloadSpec
-from repro.workloads.profiler import MissRatioCurve, get_curve
+from repro.workloads.profiler import MissRatioCurve
 
 _PROGRESS_EPSILON = 1e-3  # instructions; tolerance for float completion
 
@@ -99,8 +98,7 @@ class _JobRun:
 
     job: Job
     spec: JobSpec
-    curve: MissRatioCurve
-    cpi_model: CpiModel
+    rates: RateTable
     tw: float
     reservation: Optional[Reservation] = None
     running: bool = False
@@ -444,7 +442,7 @@ class QoSSystemSimulator:
         self.trace = ExecutionTrace()
         self.rng = DeterministicRng(self.sim_config.seed, "system-sim")
 
-        self._curves = dict(curves) if curves else {}
+        self._rates = RateTables(self.machine, self.sim_config, curves)
         self._pending: List[JobSpec] = list(workload.jobs)
         self._pending_index = 0
         self._states: Dict[int, _JobRun] = {}
@@ -505,33 +503,11 @@ class QoSSystemSimulator:
         self._abort_reason: Optional[str] = None
         self._slo: Optional[SloMonitor] = None
 
-    # -- curve and timing helpers -------------------------------------------------
-
-    def _curve_for(self, benchmark: str) -> MissRatioCurve:
-        if benchmark not in self._curves:
-            self._curves[benchmark] = get_curve(
-                get_benchmark(benchmark),
-                num_sets=self.sim_config.profile_num_sets,
-                accesses=self.sim_config.profile_accesses,
-            )
-        return self._curves[benchmark]
-
-    def _wall_clock_at(
-        self, spec: JobSpec, ways: float, *, penalty_multiplier: float = 1.0
-    ) -> float:
-        """Uncontended execution time (seconds) at a fixed allocation."""
-        profile = get_benchmark(spec.benchmark)
-        curve = self._curve_for(spec.benchmark)
-        cpi = profile.cpi_model(
-            l2_latency=self.machine.l2_latency,
-            memory_latency=self.machine.memory_latency,
-        ).cpi(curve.mpi(ways), miss_penalty_multiplier=penalty_multiplier)
-        cycles = self.sim_config.instructions_per_job * cpi
-        return self.machine.cycles_to_seconds(cycles)
+    # -- timing helpers ------------------------------------------------------------
 
     def _mean_probe_gap(self) -> float:
         reference_tw = sum(
-            self._wall_clock_at(spec, spec.requested_ways)
+            self._rates[spec.benchmark].at(spec.requested_ways).wall_clock
             for spec in self.workload.jobs
         ) / len(self.workload.jobs)
         return reference_tw * self.sim_config.probe_interarrival_fraction
@@ -710,7 +686,9 @@ class QoSSystemSimulator:
             # overruns are terminated at the reservation boundary.
             tw = spec.max_wall_clock
         else:
-            tw = self._wall_clock_at(spec, spec.requested_ways)
+            tw = self._rates[spec.benchmark].at(
+                spec.requested_ways
+            ).wall_clock
         max_wall_clock = tw * (1.0 + self.RESERVATION_MARGIN)
         # Deadline classes scale the *mode-adjusted* completion promise:
         # an Elastic(X) user accepted an up-to-X% stretch, so their
@@ -804,11 +782,7 @@ class QoSSystemSimulator:
         state = _JobRun(
             job=job,
             spec=spec,
-            curve=self._curve_for(spec.benchmark),
-            cpi_model=get_benchmark(spec.benchmark).cpi_model(
-                l2_latency=self.machine.l2_latency,
-                memory_latency=self.machine.memory_latency,
-            ),
+            rates=self._rates[spec.benchmark],
             tw=tw,
             reservation=decision.reservation,
         )
@@ -1071,12 +1045,13 @@ class QoSSystemSimulator:
                 continue
             instructions = state.rate * delta
             state.progress += instructions
-            mpi_actual = state.curve.mpi(state.ways)
-            state.actual_misses += instructions * mpi_actual
+            state.actual_misses += instructions * state.rates.at(
+                state.ways
+            ).mpi
             if state.steal is not None:
-                state.baseline_misses += instructions * state.curve.mpi(
+                state.baseline_misses += instructions * state.rates.at(
                     state.steal.baseline_ways
-                )
+                ).mpi
         self._last_advance = now
 
     # -- allocation & rate recomputation ------------------------------------------------------
@@ -1149,15 +1124,12 @@ class QoSSystemSimulator:
         for state in running:
             if state.cpu_share <= 0.0:
                 continue
-            mpi = state.curve.mpi(state.ways)
-            cpi = state.cpi_model.cpi(mpi)
-            # Each miss moves a fill block plus, for the dirty fraction,
-            # a write-back block.
-            writeback_factor = 1.0 + get_benchmark(
-                state.spec.benchmark
-            ).write_fraction
+            entry = state.rates.at(state.ways)
             transfers_per_cycle += (
-                state.cpu_share * mpi * writeback_factor / cpi
+                state.cpu_share
+                * entry.mpi
+                * state.rates.writeback_factor
+                / entry.cpi
             )
         if self.sim_config.enable_bandwidth_model:
             bus = self.bandwidth.breakdown(
@@ -1198,10 +1170,7 @@ class QoSSystemSimulator:
             if state.cpu_share <= 0.0:
                 state.rate = 0.0
             else:
-                cpi = state.cpi_model.cpi(
-                    state.curve.mpi(state.ways),
-                    miss_penalty_multiplier=multiplier,
-                )
+                cpi = state.rates.cpi(state.ways, multiplier)
                 state.rate = (
                     state.cpu_share * self.machine.clock_hz / cpi
                 )
@@ -1283,13 +1252,7 @@ class QoSSystemSimulator:
                 projected = math.inf
             rates_by_ways: Tuple[float, ...] = ()
             if state.reserved_running and state.steal is None:
-                rates_by_ways = tuple(
-                    0.0
-                    if ways == 0
-                    else self.machine.clock_hz
-                    / state.cpi_model.cpi(state.curve.mpi(ways))
-                    for ways in range(self.machine.l2_ways + 1)
-                )
+                rates_by_ways = state.rates.rates_by_ways
             reservation_end: Optional[float] = None
             if (
                 state.reservation is not None

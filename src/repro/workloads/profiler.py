@@ -26,6 +26,7 @@ because every experiment reuses the same fifteen curves.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import hashlib
 import json
@@ -46,7 +47,8 @@ class MissRatioCurve:
     normalised to be non-increasing in ways (more cache can only help
     under LRU inclusion) — simulation noise on finite traces could
     otherwise produce tiny inversions that would break downstream
-    invariants.
+    invariants.  The points are read-only after construction, which
+    sorts their way counts once for :meth:`miss_rate`.
     """
 
     benchmark: str
@@ -59,11 +61,13 @@ class MissRatioCurve:
         )
         if 0 not in self.points:
             self.points[0] = 1.0  # no allocation: every access misses
-        self._enforce_monotone()
+        self._knots = self._enforce_monotone()
 
-    def _enforce_monotone(self) -> None:
+    def _enforce_monotone(self) -> Tuple[int, ...]:
+        """Clamp the points non-increasing; return the sorted way counts."""
+        knots = tuple(sorted(self.points))
         running_min = 1.0
-        for ways in sorted(self.points):
+        for ways in knots:
             value = min(self.points[ways], running_min)
             if not 0.0 <= self.points[ways] <= 1.0:
                 raise ValueError(
@@ -72,28 +76,34 @@ class MissRatioCurve:
                 )
             self.points[ways] = value
             running_min = value
+        return knots
 
     @property
     def max_ways(self) -> int:
         """Largest way count the curve was profiled at."""
-        return max(self.points)
+        return self._knots[-1]
 
     def miss_rate(self, ways: float) -> float:
         """Miss rate at ``ways``, linearly interpolated between points.
 
+        A way count that is a profiled point (every integer allocation
+        the simulators make) is one dict lookup.  Any other count
+        interpolates linearly between the two neighbouring points, found
+        by bisection over the way counts sorted once at construction.
         Fractional allocations arise in the EqualPart baseline (16 ways
         over a varying number of jobs, e.g. Figure 1's three-job case
         giving 5.33 ways each).  Queries beyond the profiled range clamp
         to the last point.
         """
         check_non_negative("ways", ways)
-        known = sorted(self.points)
-        if ways >= known[-1]:
-            return self.points[known[-1]]
-        lower = max(w for w in known if w <= ways)
-        upper = min(w for w in known if w >= ways)
-        if lower == upper:
-            return self.points[lower]
+        value = self.points.get(ways)
+        if value is not None:
+            return value
+        knots = self._knots
+        if ways >= knots[-1]:
+            return self.points[knots[-1]]
+        index = bisect.bisect_right(knots, ways)
+        lower, upper = knots[index - 1], knots[index]
         t = (ways - lower) / (upper - lower)
         return self.points[lower] * (1 - t) + self.points[upper] * t
 
@@ -120,7 +130,7 @@ class MissRatioCurve:
         ill-defined (Section 3.2).
         """
         check_non_negative("target_miss_rate", target_miss_rate)
-        for ways in sorted(self.points):
+        for ways in self._knots:
             if self.points[ways] <= target_miss_rate:
                 return ways
         return None
