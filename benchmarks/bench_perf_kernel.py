@@ -6,13 +6,7 @@ Times the pieces of the performance layer on a fixed workload:
 1. **Kernel** — the same generated trace pushed through the reference
    object-model L2 and the fast flat-state kernel (accesses/sec each,
    and the counters are asserted identical while we're at it).
-2. **Vectorised kernel** — the numpy batch LRU kernel (``fast-vec``)
-   against reference and fast on single caches, at a narrow and a wide
-   geometry, because its win is regime-dependent: rounds are as wide as
-   the number of distinct sets touched, so it pays off on wide caches
-   and loses to the scalar kernel on narrow ones.  Counters are gated,
-   speed is reported honestly but not gated.
-3. **Parallel executor** — a multi-benchmark sweep of per-way
+2. **Parallel executor** — a multi-benchmark sweep of per-way
    cache-simulation profiles (the oracle of
    :mod:`repro.verify.oracle`, on the reference kernel) run through the
    persistent worker pool at jobs ∈ {1, 2, 4, 8} (clamped to the
@@ -20,11 +14,11 @@ Times the pieces of the performance layer on a fixed workload:
    Scaling floors only apply when the runner actually has more than
    one visible CPU; on a cpuset-limited single-CPU container only the
    serial/parallel identity check is meaningful.
-4. **Miss-curve cache** — a cold profiling pass vs a warm re-run
+3. **Miss-curve cache** — a cold profiling pass vs a warm re-run
    served from the on-disk store.
-5. **Profiling** — the one-pass stack-distance profiler against the
+4. **Profiling** — the one-pass stack-distance profiler against the
    per-way cache oracle (reference and fast kernels) on mcf, gcc and
-   libquantum, with an exact-equality gate; the same sweep as (3)
+   libquantum, with an exact-equality gate; the same sweep as (2)
    through the one-pass profiler at jobs=2; and the wall time of a
    cold ``repro fig7 Mix-1`` in a fresh interpreter on empty stores
    (and, with ``--baseline-src``, of the same command on another
@@ -61,10 +55,9 @@ from pathlib import Path
 from repro.analysis import misscache
 from repro.analysis.parallel import parallel_map, visible_cpu_count
 from repro.obs.timeseries import HistoryWriter, history_point
-from repro.cache.backend import make_cache, make_partitioned_cache
-from repro.cache.fastsim_vec import HAS_NUMPY
+from repro.cache.fastsim import FastWayPartitionedCache
 from repro.cache.geometry import CacheGeometry
-from repro.cache.partitioned import PartitionClass
+from repro.cache.partitioned import PartitionClass, WayPartitionedCache
 from repro.util.rng import DeterministicRng
 from repro.verify.oracle import simulated_miss_rates
 from repro.workloads.benchmarks import get_benchmark
@@ -108,9 +101,13 @@ def generate_trace(accesses, num_sets, block_bytes, num_cores, seed=2024):
     return addresses, writes, cores
 
 
+#: The partitioned-L2 kernels the kernel section compares, by name.
+L2_KERNELS = {"reference": WayPartitionedCache, "fast": FastWayPartitionedCache}
+
+
 def build_l2(backend, num_sets, block_bytes, num_cores):
     geometry = CacheGeometry.from_sets(num_sets, 8, block_bytes)
-    l2 = make_partitioned_cache(geometry, num_cores, backend=backend)
+    l2 = L2_KERNELS[backend](geometry, num_cores)
     for core in range(num_cores):
         l2.set_target(core, 8 // num_cores)
         l2.set_class(core, PartitionClass.RESERVED)
@@ -155,85 +152,6 @@ def bench_kernel(accesses, num_sets=512, block_bytes=64, num_cores=4):
         / results["reference_accesses_per_sec"],
         2,
     )
-    return results
-
-
-def generate_uniform_trace(
-    accesses, num_sets, block_bytes, num_cores, seed=2024
-):
-    """A miss-heavy trace spread uniformly over sets.
-
-    The vec kernel's round count equals the *maximum accesses landing
-    on any one set*, so a skewed mixture trace (hot sets) serialises it
-    while a uniform spread lets every round stay wide.  Benching both
-    keeps the regime boundary visible.
-    """
-    rng = DeterministicRng(seed, "bench-uniform")
-    addresses, writes, cores = [], [], []
-    for index in range(accesses):
-        set_index = rng.randint(0, num_sets - 1)
-        tag = rng.randint(0, 1023)
-        addresses.append((tag * num_sets + set_index) * block_bytes)
-        writes.append(rng.uniform() < 0.3)
-        cores.append(index % num_cores)
-    return addresses, writes, cores
-
-
-def bench_vec_kernel(accesses, cases, block_bytes=64, num_cores=4):
-    """fast-vec vs reference/fast batch throughput on single LRU caches.
-
-    Counters (totals and per-core) are asserted identical across all
-    three backends; throughput is reported per (geometry, trace shape)
-    case so the narrow-vs-wide / skewed-vs-uniform regime stays visible
-    in the trajectory.
-    """
-    if not HAS_NUMPY:
-        return {"skipped": "numpy not installed"}
-    results = {}
-    for label, num_sets, shape in cases:
-        make_trace = (
-            generate_uniform_trace if shape == "uniform" else generate_trace
-        )
-        addresses, writes, cores = make_trace(
-            accesses, num_sets, block_bytes, num_cores
-        )
-        geometry = CacheGeometry.from_sets(num_sets, 8, block_bytes)
-        per_backend = {}
-        snapshots = {}
-        for backend in ("reference", "fast", "fast-vec"):
-            cache = make_cache(
-                geometry, name=f"bench-{backend}", backend=backend
-            )
-            _, elapsed = _timed_block(cache, addresses, writes, cores)
-            per_backend[f"{backend}_accesses_per_sec"] = round(
-                len(addresses) / elapsed
-            )
-            snapshots[backend] = (
-                cache.stats.snapshot(),
-                dict(cache.stats.per_core),
-            )
-        for backend in ("fast", "fast-vec"):
-            if snapshots[backend] != snapshots["reference"]:
-                raise SystemExit(
-                    f"FAIL: {backend} counters diverge from reference at "
-                    f"{num_sets} sets:\n"
-                    f"  reference: {snapshots['reference']}\n"
-                    f"  {backend}: {snapshots[backend]}"
-                )
-        per_backend["num_sets"] = num_sets
-        per_backend["trace"] = shape
-        per_backend["accesses"] = len(addresses)
-        per_backend["vec_vs_fast"] = round(
-            per_backend["fast-vec_accesses_per_sec"]
-            / per_backend["fast_accesses_per_sec"],
-            2,
-        )
-        per_backend["vec_vs_reference"] = round(
-            per_backend["fast-vec_accesses_per_sec"]
-            / per_backend["reference_accesses_per_sec"],
-            2,
-        )
-        results[label] = per_backend
     return results
 
 
@@ -487,7 +405,7 @@ def append_history(path, payload, *, stamp, git_rev):
         {
             key: payload[key]
             for key in (
-                "kernel", "kernel_vec", "parallel", "miss_cache", "profiling"
+                "kernel", "parallel", "miss_cache", "profiling"
             )
         }
     )
@@ -558,20 +476,11 @@ def main(argv=None):
         kernel_accesses, sweep_sets, sweep_accesses = 40_000, 16, 4_000
         profiling_sizing = dict(num_sets=16, accesses=4_000, warmup=1_500)
         fig7_repeats = 1
-        vec_cases = [
-            ("narrow-skewed", 64, "mixture"),
-            ("wide-uniform", 512, "uniform"),
-        ]
         min_kernel_speedup, min_jobs_speedup = 2.0, 1.2
     else:
         kernel_accesses, sweep_sets, sweep_accesses = 400_000, 64, 40_000
         profiling_sizing = dict(num_sets=64, accesses=40_000, warmup=15_000)
         fig7_repeats = 3
-        vec_cases = [
-            ("narrow-skewed", 64, "mixture"),
-            ("wide-skewed", 2048, "mixture"),
-            ("wide-uniform", 2048, "uniform"),
-        ]
         min_kernel_speedup, min_jobs_speedup = 5.0, 1.5
 
     visible = visible_cpu_count()
@@ -593,20 +502,6 @@ def main(argv=None):
         f"fast {kernel['fast_accesses_per_sec']:,} acc/s "
         f"({kernel['speedup']}x, counters identical)"
     )
-
-    print("vec kernel: single-cache batch, all backends ...")
-    vec = bench_vec_kernel(kernel_accesses, vec_cases)
-    if "skipped" in vec:
-        print(f"  skipped: {vec['skipped']}")
-    else:
-        for label, row in vec.items():
-            print(
-                f"  {label} ({row['num_sets']} sets, {row['trace']}): "
-                f"vec {row['fast-vec_accesses_per_sec']:,} acc/s — "
-                f"{row['vec_vs_fast']}x vs fast, "
-                f"{row['vec_vs_reference']}x vs reference "
-                "(counters identical)"
-            )
 
     print(
         f"parallel: {len(SWEEP_BENCHMARKS)}-point sweep, "
@@ -673,7 +568,6 @@ def main(argv=None):
             "machine": platform.machine(),
         },
         "kernel": kernel,
-        "kernel_vec": vec,
         "parallel": parallel,
         "miss_cache": cache,
         "profiling": profiling,

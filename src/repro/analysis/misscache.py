@@ -16,10 +16,10 @@ function of:
   depend on, so editing the trace generators or the cache kernel
   invalidates all stored curves instead of silently serving stale ones.
 
-The key has no cache backend in it because profiling runs on no cache
-backend: the stack-distance pass replaces per-way cache simulation, and
-its curves equal the simulated ones on every backend (pinned by the
-differential ``backend`` pair and the profiler tests).
+The key names no cache kernel because profiling runs on none: the
+stack-distance pass replaces per-way cache simulation, and its curves
+equal the simulated ones on both kernels (pinned by the differential
+``backend`` pair and the profiler tests).
 
 The storage mechanics — atomic fsync'd writes, quarantine-on-corrupt
 (``<digest>.corrupt``), hit/miss/store counters — live in the shared

@@ -12,9 +12,9 @@ Since the persistent-pool rework, :func:`parallel_map` is a thin front
 over :mod:`repro.analysis.pool`: work is dispatched in adaptive
 contiguous chunks onto a process-wide :class:`~repro.analysis.pool.\
 WorkerPool` that is forked once and reused across sweeps, with shared
-read-only state (resolved cache backend, miss-cache config, and the
-caller's ``shared`` payload) installed in each worker by the pool
-initializer rather than re-pickled per point.
+read-only state (miss-cache config and the caller's ``shared``
+payload) installed in each worker by the pool initializer rather than
+re-pickled per point.
 
 Guarantees:
 
@@ -129,8 +129,8 @@ def pool_fingerprints(
     (even if the session state has drifted since it forked, which is
     exactly the divergence worth seeing) over forking a pristine one.
     ``verify diff`` prints these when a jobs-pair mismatches so
-    backend/miss-cache divergence between parent and workers is
-    visible rather than inferred.
+    miss-cache divergence between parent and workers is visible rather
+    than inferred.
     """
     worker_count = resolve_jobs(jobs)
     fingerprints = [dict(worker_fingerprint(), role="parent")]

@@ -21,18 +21,11 @@ relies on, from scratch:
 - :mod:`repro.cache.fastsim` — flat-state fast twins of the basic and
   partitioned caches (LRU only), counter-identical to the reference
   implementations but without per-access object allocation.
-- :mod:`repro.cache.backend` — the ``reference``/``fast`` backend
-  selector all construction sites go through.
+- :mod:`repro.cache.backend` — the cache factories all construction
+  sites go through (fast kernel for LRU, reference model otherwise).
 """
 
-from repro.cache.backend import (
-    BACKENDS,
-    default_backend,
-    make_cache,
-    make_partitioned_cache,
-    resolve_backend,
-    set_default_backend,
-)
+from repro.cache.backend import make_cache, make_partitioned_cache
 from repro.cache.basic import (
     HIT,
     AccessResult,
@@ -66,10 +59,6 @@ __all__ = [
     "LruPolicy",
     "FifoPolicy",
     "RandomPolicy",
-    "BACKENDS",
-    "default_backend",
-    "set_default_backend",
-    "resolve_backend",
     "make_cache",
     "make_partitioned_cache",
 ]

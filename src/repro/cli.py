@@ -39,7 +39,6 @@ from repro.analysis.report import (
 )
 from repro.analysis.runner import run_all_configurations
 from repro.analysis.sensitivity import sensitivity_points
-from repro.cache.backend import BACKENDS, set_default_backend
 from repro.core.config import CONFIGURATIONS
 from repro.faults import (
     FaultConfig,
@@ -465,16 +464,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.verify_command == "diff":
         if args.fig:
             scenario = Scenario.for_figure(args.fig, seed=args.seed)
-            if (
-                args.pair_backend != scenario.fast_backend
-                or args.pair_policy != scenario.pair_policy
-            ):
+            if args.pair_policy != scenario.pair_policy:
                 import dataclasses as _dataclasses
 
                 scenario = _dataclasses.replace(
-                    scenario,
-                    fast_backend=args.pair_backend,
-                    pair_policy=args.pair_policy,
+                    scenario, pair_policy=args.pair_policy
                 )
         else:
             scenario = Scenario(
@@ -485,7 +479,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 count=args.count,
                 seed=args.seed,
                 jobs=args.pair_jobs,
-                fast_backend=args.pair_backend,
                 pair_policy=args.pair_policy,
             )
         report = run_diff(
@@ -756,11 +749,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs", type=int, default=1, metavar="N",
         help="run independent simulation points across N processes "
         "(0 = all cores; default 1 = serial)",
-    )
-    perf.add_argument(
-        "--cache-backend", choices=BACKENDS, default=None,
-        help="cache implementation: the fast flat kernel (default) or "
-        "the reference object model",
     )
     perf.add_argument(
         "--no-miss-cache", action="store_true",
@@ -1064,10 +1052,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker count for the parallel arm of the jobs pair",
     )
     verify_diff.add_argument(
-        "--pair-backend", default="fast", choices=["fast", "fast-vec"],
-        help="fast arm of the backend pair (fast-vec needs numpy)",
-    )
-    verify_diff.add_argument(
         "--pair-policy", default="grow-shrink",
         choices=["grow-shrink", "bandwidth-steal"],
         help="adaptive policy whose disabled variant the policy pair "
@@ -1344,10 +1328,8 @@ def _run_observed(args: argparse.Namespace) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    # The perf knobs are session-wide: the setters mirror into the
-    # environment so --jobs workers inherit them.
-    if getattr(args, "cache_backend", None) is not None:
-        set_default_backend(args.cache_backend)
+    # The miss-cache knob is session-wide: its setter mirrors into the
+    # environment so --jobs workers inherit it.
     if getattr(args, "no_miss_cache", False):
         misscache.set_enabled(False)
     if (

@@ -17,7 +17,6 @@ unknown versions instead of resuming a subtly-incompatible state.
 
 from __future__ import annotations
 
-import dataclasses
 import pickle
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,9 +32,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 PathLike = Union[str, Path]
 
-# v2 added cache_backend: a machine configured with backend=None follows
-# the *session* default, and deterministic replay must not depend on
-# which session performs it.
+# v2 added cache_backend (see SimulationCheckpoint.cache_backend).
 CHECKPOINT_VERSION = 2
 
 
@@ -51,11 +48,12 @@ class SimulationCheckpoint:
     sim_config: SimulationConfig
     fault_config: Optional[FaultConfig]
     record_trace: bool
-    # The backend the checkpointed run actually used, resolved at
-    # checkpoint time.  Under deterministic-replay checkpointing the
-    # cache contents are not snapshotted — they are reconstructed by
-    # replay — so the backend *name* is the only backend state a
-    # checkpoint needs, but it must be pinned explicitly.
+    # The cache kernel name.  Informational only: the analytic
+    # simulator builds no cache, so resume reads nothing from it.  Kept
+    # so the v2 pickle layout is unchanged; new checkpoints record
+    # "fast" (make_cache's kernel for LRU caches).  Older v2 files may
+    # name another kernel, and their pickled MachineConfig may carry a
+    # stray ``cache_backend`` attribute, which is equally inert.
     cache_backend: str = "reference"
     # Registry name of the adaptive policy driving the run (None: no
     # policy).  Policies are deterministic functions of the trajectory,
@@ -100,7 +98,7 @@ def checkpoint_simulator(
         sim_config=simulator.sim_config,
         fault_config=simulator.fault_config,
         record_trace=simulator.record_trace,
-        cache_backend=simulator.machine.resolved_cache_backend,
+        cache_backend="fast",
         policy=policy_name,
     )
 
@@ -153,16 +151,9 @@ def resume_simulator(
     from repro.sim.engine import RUN_EVENT_BUDGET, RunBudget
     from repro.sim.system import QoSSystemSimulator
 
-    # Pin the recorded backend: the current session's default must not
-    # leak into a replay of a run configured under another default.
-    machine = checkpoint.machine
-    if machine.cache_backend != checkpoint.cache_backend:
-        machine = dataclasses.replace(
-            machine, cache_backend=checkpoint.cache_backend
-        )
     simulator = QoSSystemSimulator(
         checkpoint.workload,
-        machine=machine,
+        machine=checkpoint.machine,
         sim_config=checkpoint.sim_config,
         curves=curves,
         record_trace=checkpoint.record_trace,

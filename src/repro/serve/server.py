@@ -39,7 +39,6 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.cache.backend import default_backend
 from repro.core.policy import SensorSnapshot, SetBusGrant, make_policy
 from repro.core.spec import ResourceVector
 from repro.obs import (
@@ -765,7 +764,6 @@ class QosServer:
             if self.health.last
             else {"state": self.health.state.value}
         )
-        payload["cache_backend"] = default_backend()
         payload["fingerprint"] = self.fingerprint()
         if self.policy is not None:
             payload["policy"] = {

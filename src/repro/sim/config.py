@@ -8,9 +8,6 @@ knobs (instruction counts, arrival process, measurement size).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
-
-from repro.cache.backend import BACKENDS, resolve_backend
 from repro.cache.geometry import CacheGeometry
 from repro.mem.bandwidth import BandwidthModel
 from repro.mem.dram import DramModel
@@ -43,10 +40,6 @@ class MachineConfig:
     # OS scheduler timeslice (used by the EqualPart baseline's
     # timesharing model; Linux-like ~10 ms).
     timeslice_seconds: float = 0.01
-    # Cache implementation: "reference" (object model), "fast" (flat
-    # kernel), or None to follow the session default
-    # (repro.cache.backend.default_backend()).
-    cache_backend: Optional[str] = None
 
     def __post_init__(self) -> None:
         check_positive("num_cores", self.num_cores)
@@ -59,19 +52,6 @@ class MachineConfig:
             self.repartition_interval_instructions,
         )
         check_positive("timeslice_seconds", self.timeslice_seconds)
-        if (
-            self.cache_backend is not None
-            and self.cache_backend not in BACKENDS
-        ):
-            raise ValueError(
-                f"unknown cache backend {self.cache_backend!r}; expected "
-                f"one of {BACKENDS}"
-            )
-
-    @property
-    def resolved_cache_backend(self) -> str:
-        """The backend this machine will actually construct caches on."""
-        return resolve_backend(self.cache_backend)
 
     @property
     def l2_ways(self) -> int:

@@ -2,7 +2,7 @@
 
 The repo deliberately maintains redundant ways to compute the same
 answer — one-pass stack-distance miss curves and per-way cache
-simulation, a reference and a fast cache backend, serial and ``--jobs N``
+simulation, a reference and a fast cache kernel, serial and ``--jobs N``
 sweeps, an inert-when-zero fault layer.  Redundancy only buys trust
 when agreement is *checked*, continuously and mechanically (the
 argument of the simulator-validation literature in PAPERS.md).  This

@@ -7,12 +7,10 @@ arms, and every observable compared:
 
 - **backend** — the profiler's stack-distance curves versus the
   per-way cache-simulation oracle (:mod:`repro.verify.oracle`) on the
-  ``reference`` backend, and that oracle on a fast kernel (``fast`` by
-  default, ``fast-vec`` via ``Scenario.fast_backend``) versus the
-  reference; then the sweep run on the reference oracle's curves under
-  the reference backend versus on the profiled curves under the fast
-  kernel.  Curves must match point-for-point and every downstream
-  scalar byte-for-byte.
+  ``reference`` kernel, and that oracle on the ``fast`` kernel versus
+  the reference; then the sweep run on the reference oracle's curves
+  versus on the profiled curves.  Curves must match point-for-point
+  and every downstream scalar and artifact line byte-for-byte.
 - **jobs** — the same sweep with ``jobs=1`` versus ``jobs=N``
   multiprocessing.  Counter snapshots *and* the metrics/events/trace
   JSONL artifact streams must be byte-identical (the observer-merge
@@ -50,7 +48,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.runner import run_all_configurations, run_configuration
-from repro.cache.backend import forced_backend
 from repro.core.config import CONFIGURATIONS
 from repro.faults.model import FaultConfig
 from repro.obs import Observer, observed
@@ -97,21 +94,15 @@ class Scenario:
     profile_accesses: int = 40_000
     profile_warmup: int = 15_000
     record_trace: bool = True
-    fast_backend: str = "fast"
     # Adaptive policy exercised by the "policy" pair (its disabled
     # variant vs the degenerate static wrapper).
     pair_policy: str = "grow-shrink"
     # Optional registry policy applied to BOTH arms of the other pairs,
     # pinning that adaptive decisions stay deterministic across
-    # backends / job counts / the fault layer.
+    # curve sources / job counts / the fault layer.
     policy: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.fast_backend not in ("fast", "fast-vec"):
-            raise ValueError(
-                f"fast_backend must be 'fast' or 'fast-vec', "
-                f"got {self.fast_backend!r}"
-            )
         from repro.core.policy import ADAPTIVE_POLICIES, policy_names
 
         if self.pair_policy not in ADAPTIVE_POLICIES:
@@ -202,11 +193,14 @@ class Scenario:
 
     @staticmethod
     def from_dict(payload: dict) -> "Scenario":
+        # Cases saved while the backend pair's fast arm was selectable
+        # carry a ``fast_backend`` field; the pair now always compares
+        # reference against fast, so the field is dropped on load.
+        payload = {k: v for k, v in payload.items() if k != "fast_backend"}
         known = {f.name for f in dataclasses.fields(Scenario)}
         unknown = sorted(set(payload) - known)
         if unknown:
             raise ValueError(f"unknown scenario field(s): {unknown}")
-        payload = dict(payload)
         if "configurations" in payload:
             payload["configurations"] = tuple(payload["configurations"])
         return Scenario(**payload)
@@ -450,18 +444,12 @@ def _curve_drift(
 def _backend_pair(
     scenario: Scenario, *, rel_tol: float, abs_tol: float
 ) -> PairReport:
-    fast_name = scenario.fast_backend
     report = PairReport(
-        kind="backend",
-        subject=f"{scenario.describe()}, reference vs {fast_name}",
+        kind="backend", subject=f"{scenario.describe()}, reference vs fast"
     )
-    with forced_backend("reference"):
-        reference_curves = oracle_scenario_curves(
-            scenario, backend="reference"
-        )
-    with forced_backend(fast_name):
-        kernel_curves = oracle_scenario_curves(scenario, backend=fast_name)
-        profiled_curves = profile_scenario_curves(scenario)
+    reference_curves = oracle_scenario_curves(scenario, backend="reference")
+    kernel_curves = oracle_scenario_curves(scenario, backend="fast")
+    profiled_curves = profile_scenario_curves(scenario)
     report.checks.append(
         CheckResult.from_violations(
             "stack-distance-exact",
@@ -475,10 +463,8 @@ def _backend_pair(
         )
     )
 
-    with forced_backend("reference"):
-        arm_a = _run_sweep_arm(scenario, curves=reference_curves, jobs=1)
-    with forced_backend(fast_name):
-        arm_b = _run_sweep_arm(scenario, curves=profiled_curves, jobs=1)
+    arm_a = _run_sweep_arm(scenario, curves=reference_curves, jobs=1)
+    arm_b = _run_sweep_arm(scenario, curves=profiled_curves, jobs=1)
     report.checks.append(
         CheckResult.from_violations(
             "counters-identical",
@@ -490,14 +476,8 @@ def _backend_pair(
             ),
         )
     )
-    # cache.builds series legitimately carry a backend label; everything
-    # else in the metric stream must agree.
     report.checks.append(
-        _compare_stream(
-            "metrics",
-            _without_series(arm_a.metrics_lines, "cache.builds"),
-            _without_series(arm_b.metrics_lines, "cache.builds"),
-        )
+        _compare_stream("metrics", arm_a.metrics_lines, arm_b.metrics_lines)
     )
     report.checks.append(
         _compare_stream("events", arm_a.events_lines, arm_b.events_lines)

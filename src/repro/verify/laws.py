@@ -8,8 +8,8 @@ paper's model (or basic queueing/caching theory) says so:
   more cache ways never increases its measured miss rate (checked on
   the *raw* per-way measurements, before the curve normalisation that
   would hide an inversion); the profiler's stack-distance points must
-  equal the per-way cache-simulation oracle on the reference backend,
-  and every other backend's oracle must equal the reference's.
+  equal the per-way cache-simulation oracle on the reference kernel,
+  and the fast kernel's oracle must equal the reference's.
 - **mode-downgrade-floor** — walking the Strict → Elastic(X) →
   Opportunistic ladder (voluntary, Section 3.3–3.4, or the fault-
   recovery ladder of :mod:`repro.faults.resilience`) never *raises*
@@ -18,7 +18,7 @@ paper's model (or basic queueing/caching theory) says so:
 - **core-permutation-symmetry** — a way-partitioned cache is
   symmetric in core identity: relabelling the cores of an access
   stream permutes the per-core counters and leaves every aggregate
-  counter unchanged, on both backends.
+  counter unchanged, on both kernels.
 - **fair-queue-conservation** — the memory bus neither creates nor
   destroys service: every submitted request completes exactly once,
   each occupies the bus for exactly ``service_cycles``, grants never
@@ -61,12 +61,9 @@ from repro.core.policy import (
     make_policy,
     policy_names,
 )
-from repro.cache.backend import (
-    BACKENDS,
-    make_partitioned_cache,
-)
+from repro.cache.fastsim import FastWayPartitionedCache
 from repro.cache.geometry import CacheGeometry
-from repro.cache.partitioned import PartitionClass
+from repro.cache.partitioned import PartitionClass, WayPartitionedCache
 from repro.core.modes import (
     ExecutionMode,
     downgrade_to_elastic,
@@ -132,27 +129,22 @@ def _check_miss_curve_monotone(seed: int) -> List[str]:
                     f"{raw[ways]:.4f}@{ways}w"
                 )
             previous_ways = ways
-        oracle = {
-            backend: simulated_miss_rates(profile, backend=backend, **sizing)
-            for backend in BACKENDS
-        }
-        measured = {"stack-distance": raw}
-        measured.update(
-            (backend, points)
-            for backend, points in oracle.items()
-            if backend != "reference"
+        reference = simulated_miss_rates(
+            profile, backend="reference", **sizing
         )
+        measured = {
+            "stack-distance": raw,
+            "fast": simulated_miss_rates(profile, backend="fast", **sizing),
+        }
         for label, points in measured.items():
             drifted = sorted(
-                ways
-                for ways in oracle["reference"]
-                if points[ways] != oracle["reference"][ways]
+                ways for ways in reference if points[ways] != reference[ways]
             )
             for ways in drifted[:8]:
                 violations.append(
                     f"{name}@{ways}w: {label} disagrees with the reference "
                     f"oracle on the raw rate ({points[ways]:.6f} vs "
-                    f"{oracle['reference'][ways]:.6f})"
+                    f"{reference[ways]:.6f})"
                 )
     return violations
 
@@ -267,13 +259,12 @@ def _check_core_permutation_symmetry(seed: int) -> List[str]:
     ]
     permutation = list(range(num_cores))
     rng.shuffle(permutation)
-    for backend in BACKENDS:
-        base = make_partitioned_cache(
-            geometry, num_cores, name="verify-base", backend=backend
-        )
-        relabeled = make_partitioned_cache(
-            geometry, num_cores, name="verify-perm", backend=backend
-        )
+    for backend, kernel in (
+        ("reference", WayPartitionedCache),
+        ("fast", FastWayPartitionedCache),
+    ):
+        base = kernel(geometry, num_cores, name="verify-base")
+        relabeled = kernel(geometry, num_cores, name="verify-perm")
         for cache, mapping in (
             (base, list(range(num_cores))),
             (relabeled, permutation),
@@ -709,7 +700,7 @@ LAWS: Dict[str, Law] = {
             name="miss-curve-monotone",
             description="more ways never raise the raw miss rate; "
             "stack-distance points equal the per-way cache oracle "
-            "on every backend",
+            "on both kernels",
             check=_check_miss_curve_monotone,
         ),
         Law(

@@ -3,21 +3,25 @@
 :func:`repro.workloads.profiler.measure_miss_rates` reads every way
 count off one stack-distance pass.  This module keeps the direct
 measurement that pass replaces: the same trace, driven through a real
-trace-driven ``w``-way LRU cache once per way count, on any cache
-backend.  It is not a product path — the differential ``backend``
+trace-driven ``w``-way LRU cache once per way count, on a named cache
+kernel.  It is not a product path — the differential ``backend``
 pair, the ``miss-curve-monotone`` law and the profiler tests use it to
-check the pass (and the fast kernels against the reference model).
+check the pass (and the fast kernel against the reference model).
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable
 
-from repro.cache.backend import make_cache
+from repro.cache.basic import SetAssociativeCache
+from repro.cache.fastsim import FastSetAssociativeCache
 from repro.cache.geometry import CacheGeometry
 from repro.util.rng import DeterministicRng
 from repro.util.validation import check_non_negative, check_positive
 from repro.workloads.benchmarks import BenchmarkProfile
+
+#: The two LRU cache kernels the oracle can run on, by name.
+KERNELS = {"reference": SetAssociativeCache, "fast": FastSetAssociativeCache}
 
 
 def simulated_miss_rates(
@@ -35,9 +39,14 @@ def simulated_miss_rates(
 
     Same arguments, same trace and same result contract as
     :func:`~repro.workloads.profiler.measure_miss_rates`; ``backend``
-    names the cache implementation (:mod:`repro.cache.backend`) every
-    ``w``-way cache is built on.
+    names the kernel (``"reference"`` or ``"fast"``) every ``w``-way
+    cache is built on.
     """
+    if backend not in KERNELS:
+        raise ValueError(
+            f"unknown cache kernel {backend!r}; expected one of "
+            f"{sorted(KERNELS)}"
+        )
     check_positive("accesses", accesses)
     check_non_negative("warmup", warmup)
     ways_list = list(ways_list)
@@ -58,9 +67,7 @@ def simulated_miss_rates(
     points: Dict[int, float] = {}
     for ways in ways_list:
         geometry = CacheGeometry.from_sets(num_sets, ways, block_bytes)
-        cache = make_cache(
-            geometry, name=f"{profile.name}-{ways}w", backend=backend
-        )
+        cache = KERNELS[backend](geometry, name=f"{profile.name}-{ways}w")
         if warmup:
             cache.access_block(addresses[:warmup], writes[:warmup])
         measured = cache.access_block(addresses[warmup:], writes[warmup:])

@@ -15,6 +15,7 @@ import time
 
 import pytest
 
+from repro.analysis import misscache
 from repro.analysis.parallel import parallel_map, pool_fingerprints
 from repro.analysis.pool import (
     SessionState,
@@ -25,7 +26,6 @@ from repro.analysis.pool import (
     shared_pool,
     shutdown_shared_pools,
 )
-from repro.cache.backend import forced_backend
 from repro.obs import Observer, observed
 
 
@@ -131,13 +131,16 @@ class TestPoolPersistence:
         assert replacement is not pool
         assert not pool.forked  # the stale pool was shut down
 
-    def test_shared_pool_reforks_on_session_state_change(self):
+    def test_shared_pool_reforks_on_session_state_change(self, tmp_path):
         pool = shared_pool(2)
         pool.map(_pid, [0, 1])
-        with forced_backend("reference"):
+        misscache.set_cache_dir(tmp_path)
+        try:
             replacement = shared_pool(2)
             assert replacement is not pool
-            assert replacement.state.cache_backend == "reference"
+            assert replacement.state.miss_cache_dir == str(tmp_path)
+        finally:
+            misscache.set_cache_dir(None)
 
     def test_parallel_map_uses_process_wide_pool(self):
         first = set(parallel_map(_pid, list(range(8)), jobs=2))
@@ -266,5 +269,4 @@ class TestFingerprints:
         with WorkerPool(2) as pool:
             probes = pool.fingerprints()
         for probe in probes:
-            assert probe["cache_backend"] == state.cache_backend
             assert probe["miss_cache_enabled"] == state.miss_cache_enabled

@@ -1,11 +1,11 @@
-"""Partition-aware differential: both backends under QoS-shaped load.
+"""Partition-aware differential: both kernels under QoS-shaped load.
 
-The generic backend differential (``test_fastsim_differential.py``)
+The generic kernel differential (``test_fastsim_differential.py``)
 drives random operation soups.  This suite instead replays the access
 shapes the QoS simulator actually produces — reserved way targets that
 are *repartitioned mid-stream* (the Section 4 repartitioning interval)
 while traffic keeps flowing, with a set-sampled shadow-tag array
-riding on one core's stream — and demands the two backends stay
+riding on one core's stream — and demands the two kernels stay
 **byte-identical**: the serialised counter state must match as bytes,
 not merely within tolerance.
 """
@@ -17,13 +17,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache.backend import BACKENDS, make_partitioned_cache
+from repro.cache.fastsim import FastWayPartitionedCache
 from repro.cache.geometry import CacheGeometry
-from repro.cache.partitioned import PartitionClass
+from repro.cache.partitioned import PartitionClass, WayPartitionedCache
 from repro.cache.shadow import ShadowTagArray
 
 NUM_CORES = 4
 GEOMETRY = CacheGeometry.from_sets(16, 8, 64)
+#: The two partitioned-L2 kernels, by name.
+KERNELS = {"reference": WayPartitionedCache, "fast": FastWayPartitionedCache}
 
 
 def _stats_bytes(cache):
@@ -89,7 +91,7 @@ repartition_plans = st.lists(
 
 
 def _build(backend):
-    cache = make_partitioned_cache(GEOMETRY, NUM_CORES, backend=backend)
+    cache = KERNELS[backend](GEOMETRY, NUM_CORES)
     for core in range(NUM_CORES):
         cache.set_target(core, 2)
         cache.set_class(core, PartitionClass.RESERVED)
@@ -112,7 +114,7 @@ class TestRepartitionMidStream:
         self, accesses, plans
     ):
         states = {}
-        for backend in BACKENDS:
+        for backend in KERNELS:
             cache = _build(backend)
             # Interleave: a slice of traffic, then a repartition, so
             # allocations change while lines are resident.
@@ -137,7 +139,7 @@ class TestRepartitionMidStream:
         """Mid-stream class churn (RESERVED -> BEST_EFFORT and back)
         must not open a gap between the backends."""
         states = {}
-        for backend in BACKENDS:
+        for backend in KERNELS:
             cache = _build(backend)
             half = len(accesses) // 2
             for block, is_write, core in accesses[:half]:
@@ -159,7 +161,7 @@ class TestShadowSampledHits:
         """A set-sampled shadow array fed by core 0's stream sees the
         same sampled hits/misses whichever backend runs the main cache."""
         states = {}
-        for backend in BACKENDS:
+        for backend in KERNELS:
             cache = _build(backend)
             shadow = ShadowTagArray(
                 GEOMETRY, baseline_ways=2, sample_period=sample_period
@@ -182,7 +184,7 @@ class TestShadowSampledHits:
         )
         assert observed == GEOMETRY.num_sets // 4
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", KERNELS)
     def test_repartition_with_shadow_smoke(self, backend):
         """Deterministic end-to-end smoke: repartition under a shadow
         array produces self-consistent counters on each backend."""

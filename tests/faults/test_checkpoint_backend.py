@@ -1,11 +1,12 @@
-"""Checkpoint fidelity across cache backends.
+"""Checkpoint v2 compatibility without a session-wide backend switch.
 
-A machine configured with ``cache_backend=None`` follows the *session*
-default, so a checkpoint taken in one session could replay on a
-different kernel in another — deterministic replay would then rebuild
-different cache state.  The checkpoint therefore records the resolved
-backend name and resume pins it; these tests hold that contract, plus
-the version gate that keeps pre-backend (v1) checkpoints from being
+v2 checkpoints carry a ``cache_backend`` field naming the kernel the
+session's switch selected (including a numpy kernel since deleted),
+and their pickled ``MachineConfig`` carried a ``cache_backend`` field
+of its own.  The analytic simulator builds no cache, so neither value
+can change a replay: these tests pin that such files still load and
+resume exactly, that new checkpoints keep the v2 layout, and the
+version gate that keeps pre-backend (v1) checkpoints from being
 resumed silently.
 """
 
@@ -14,14 +15,12 @@ import pickle
 
 import pytest
 
-from repro.cache.backend import set_default_backend
 from repro.faults.checkpoint import (
     CHECKPOINT_VERSION,
     SimulationCheckpoint,
     checkpoint_simulator,
     load_checkpoint,
     resume_simulator,
-    save_checkpoint,
 )
 from repro.sim.config import MachineConfig, SimulationConfig
 from repro.core.config import ALL_STRICT
@@ -34,68 +33,53 @@ from tests.faults.test_system_faults import signature
 SIM = SimulationConfig()
 
 
-@pytest.fixture(autouse=True)
-def restore_default_backend():
-    yield
-    set_default_backend(None)
-
-
-def make_simulator(fake_curves, machine=None):
+def make_simulator(fake_curves):
     workload = single_benchmark_workload("bzip2", ALL_STRICT)
-    kwargs = {"curves": fake_curves, "sim_config": SIM}
-    if machine is not None:
-        kwargs["machine"] = machine
-    return QoSSystemSimulator(workload, **kwargs)
+    return QoSSystemSimulator(workload, curves=fake_curves, sim_config=SIM)
 
 
-class TestBackendRecording:
-    def test_checkpoint_records_resolved_backend(self, fake_curves):
-        set_default_backend("reference")
+def write_legacy_checkpoint(simulator, backend, path):
+    """Pickle a v2 checkpoint of ``simulator`` the way it used to be
+    written: ``backend`` on the checkpoint, and the machine's old
+    ``cache_backend`` field as an attribute the class no longer has."""
+    machine = MachineConfig()
+    object.__setattr__(machine, "cache_backend", backend)
+    legacy = dataclasses.replace(
+        checkpoint_simulator(simulator),
+        machine=machine,
+        cache_backend=backend,
+    )
+    with open(path, "wb") as handle:
+        pickle.dump(legacy, handle, protocol=pickle.HIGHEST_PROTOCOL)
+    return path
+
+
+class TestLegacyCheckpoints:
+    @pytest.mark.parametrize("backend", ["reference", "fast", "fast-vec"])
+    def test_legacy_v2_checkpoint_resumes_exactly(
+        self, fake_curves, tmp_path, backend
+    ):
+        uninterrupted = make_simulator(fake_curves).run()
+        simulator = make_simulator(fake_curves)
+        simulator.run(budget=RunBudget(max_events=80))
+        path = write_legacy_checkpoint(
+            simulator, backend, tmp_path / f"{backend}.ckpt"
+        )
+
+        loaded = load_checkpoint(path)
+        assert loaded.version == 2
+        assert loaded.cache_backend == backend
+        assert loaded.machine.__dict__["cache_backend"] == backend
+        resumed = resume_simulator(loaded, curves=fake_curves)
+        assert signature(resumed.run()) == signature(uninterrupted)
+
+    def test_new_checkpoints_record_fast(self, fake_curves):
         simulator = make_simulator(fake_curves)
         simulator.run(budget=RunBudget(max_events=40))
         checkpoint = checkpoint_simulator(simulator)
-        assert checkpoint.machine.cache_backend is None
-        assert checkpoint.cache_backend == "reference"
-
-    def test_explicit_backend_recorded_verbatim(self, fake_curves):
-        machine = MachineConfig(cache_backend="reference")
-        simulator = make_simulator(fake_curves, machine=machine)
-        simulator.run(budget=RunBudget(max_events=40))
-        assert checkpoint_simulator(simulator).cache_backend == "reference"
-
-
-class TestBackendPinnedOnResume:
-    def test_resume_ignores_changed_session_default(
-        self, fake_curves, tmp_path
-    ):
-        # Checkpoint under the "reference" session default ...
-        set_default_backend("reference")
-        reference_run = make_simulator(fake_curves).run()
-        simulator = make_simulator(fake_curves)
-        simulator.run(budget=RunBudget(max_events=80))
-        path = save_checkpoint(
-            checkpoint_simulator(simulator), tmp_path / "run.ckpt"
-        )
-
-        # ... then resume in a session whose default has moved on.
-        set_default_backend("fast")
-        resumed = resume_simulator(load_checkpoint(path), curves=fake_curves)
-        assert resumed.machine.cache_backend == "reference"
-        assert resumed.machine.resolved_cache_backend == "reference"
-        assert signature(resumed.run()) == signature(reference_run)
-
-    def test_resume_leaves_matching_machine_untouched(
-        self, fake_curves, tmp_path
-    ):
-        machine = MachineConfig(cache_backend="fast")
-        simulator = make_simulator(fake_curves, machine=machine)
-        simulator.run(budget=RunBudget(max_events=80))
-        path = save_checkpoint(
-            checkpoint_simulator(simulator), tmp_path / "run.ckpt"
-        )
-        resumed = resume_simulator(load_checkpoint(path), curves=fake_curves)
-        assert resumed.machine == machine
-        assert resumed.machine.cache_backend == "fast"
+        assert checkpoint.version == CHECKPOINT_VERSION
+        assert checkpoint.cache_backend == "fast"
+        assert "cache_backend" not in checkpoint.machine.__dict__
 
 
 class TestVersionGate:

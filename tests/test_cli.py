@@ -151,6 +151,33 @@ class TestObservabilityFlags:
         assert metrics_a.read_bytes() == metrics_b.read_bytes()
         assert events_a.read_bytes() == events_b.read_bytes()
 
+    def test_fig7_builds_no_cache(self, tmp_path, capsys):
+        """The figure pipeline runs on profiled curves and builds no
+        cache, which is why it has no cache-kernel switch.  If a
+        ``cache.builds`` series ever appears here, cache construction
+        is back in the analytic pipeline and the kernel choice matters
+        to its results again."""
+        import json
+
+        from repro.analysis import misscache
+        from repro.workloads.profiler import clear_curve_cache
+
+        metrics = tmp_path / "metrics.jsonl"
+        # Profile from scratch, so every stage that could build a cache runs.
+        misscache.set_enabled(False)
+        clear_curve_cache()
+        try:
+            assert main(["fig7", "Mix-1", "--metrics-out", str(metrics)]) == 0
+        finally:
+            misscache.set_enabled(None)
+            clear_curve_cache()
+        names = [
+            json.loads(line)["name"]
+            for line in metrics.read_text().splitlines()
+        ]
+        assert names, "the metrics snapshot is empty"
+        assert not [name for name in names if name.startswith("cache.builds")]
+
     def test_observer_restored_after_run(self, tmp_path, capsys):
         from repro.obs import NULL_OBSERVER, get_observer
 

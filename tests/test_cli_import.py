@@ -1,8 +1,8 @@
 """CLI start-up cost: what ``import repro.cli`` must not pull in.
 
-Every fig command and ``repro serve`` pays for the CLI's imports.  numpy
-serves only the optional ``fast-vec`` cache backend, so it is imported
-when that backend is built, never at start-up.  Checked in a fresh
+Every fig command and ``repro serve`` pays for the CLI's imports.  No
+product path needs numpy, and importing it costs every start-up about
+160 ms, so ``import repro.cli`` must never load it.  Checked in a fresh
 interpreter, since this test session may already have numpy loaded.
 """
 

@@ -134,7 +134,6 @@ class TestTopRendersPolicy:
     def _stats(self, tmp_path):
         payload = {
             "uptime": 4.0,
-            "cache_backend": "fast",
             "queue_depth": 1,
             "inflight": 2,
             "accounting": {
