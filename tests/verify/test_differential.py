@@ -144,6 +144,28 @@ class TestPolicyPair:
             if not check.passed
         ]
 
+    @pytest.mark.parametrize("backend", ["reference", "fast"])
+    def test_pair_holds_on_both_backends(
+        self, reduced_scenario, backend, monkeypatch
+    ):
+        # The pair's arms share one curve set; feed it the oracle's
+        # curves from each cache kernel instead of the profiler's.
+        from repro.verify import differential
+
+        monkeypatch.setattr(
+            differential,
+            "profile_scenario_curves",
+            lambda scenario: differential.oracle_scenario_curves(
+                scenario, backend=backend
+            ),
+        )
+        report = run_pair(reduced_scenario, "policy")
+        assert report.passed, [
+            (check.name, check.details)
+            for check in report.checks
+            if not check.passed
+        ]
+
     def test_grow_shrink_variant(self, reduced_scenario):
         report = run_pair(reduced_scenario, "policy")
         assert report.passed, [
